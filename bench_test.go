@@ -191,13 +191,14 @@ func BenchmarkCopyinCopyout(b *testing.B) {
 		buf[i] = byte(i)
 	}
 	va := base + 123 // unaligned, so chunks straddle page boundaries
+	in := make([]byte, len(buf))
 	b.SetBytes(int64(2 * len(buf)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := h.Copyout(root, va, buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := h.Copyin(root, va, len(buf)); err != nil {
+		if err := h.Copyin(root, va, in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -17,6 +17,7 @@
 package httpd
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"sort"
@@ -47,7 +48,8 @@ type EventServerConfig struct {
 }
 
 // evConn is the per-connection state of the event loop: the partial
-// request line read so far and the unsent response tail.
+// request line read so far and the response bytes the send window has
+// not taken yet.
 type evConn struct {
 	in      []byte
 	out     []byte
@@ -97,6 +99,10 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 		const maxEvents = 64
 		evBuf := p.Alloc(maxEvents * 8)
 		ioBuf := p.Alloc(chunk)
+		// respBuf is reused for every response serve builds; respond
+		// copies into a connection's out buffer only what the send
+		// window refuses.
+		var respBuf []byte
 		conns := make(map[int]*evConn)
 		var sessCtr uint64
 		quit := false
@@ -107,26 +113,28 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 			delete(conns, fd)
 		}
 
-		// flush pushes c.out until done or the window fills, adjusting
-		// POLLOUT interest to match whether output is still pending.
-		flush := func(fd int, c *evConn) {
-			for len(c.out) > 0 {
-				n := len(c.out)
-				if n > chunk {
-					n = chunk
-				}
-				p.Write(ioBuf, c.out[:n])
+		// push sends b until done or the window fills and returns the
+		// unsent tail (nil once the peer is gone).
+		push := func(fd int, c *evConn, b []byte) []byte {
+			for len(b) > 0 {
+				n := min(len(b), chunk)
+				p.Write(ioBuf, b[:n])
 				ret := p.Syscall(kernel.SysSendTo, uint64(fd), ioBuf, uint64(n))
 				if e, bad := kernel.IsErr(ret); bad {
 					if e == kernel.EAGAIN {
 						break
 					}
 					c.dead = true // peer gone; nothing left to deliver
-					c.out = nil
-					break
+					return nil
 				}
-				c.out = c.out[ret:]
+				b = b[ret:]
 			}
+			return b
+		}
+
+		// settle matches POLLOUT interest to whether output is still
+		// pending, and closes a dead connection once it has drained.
+		settle := func(fd int, c *evConn) {
 			if len(c.out) > 0 && !c.wantOut {
 				c.wantOut = true
 				p.Syscall(kernel.SysPollCtl, pfd, kernel.PollCtlMod, uint64(fd), kernel.POLLIN|kernel.POLLOUT)
@@ -139,13 +147,31 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 			}
 		}
 
-		// respond queues a reply and attempts an immediate send.
+		// flush pushes the queued output; a drained out buffer rewinds
+		// so the connection keeps its backing array.
+		flush := func(fd int, c *evConn) {
+			if rest := push(fd, c, c.out); len(rest) > 0 {
+				c.out = rest
+			} else {
+				c.out = c.out[:0]
+			}
+			settle(fd, c)
+		}
+
+		// respond sends a reply behind any queued output. With nothing
+		// queued it sends straight from b and keeps only the tail the
+		// window refused, so b may be a reused buffer.
 		respond := func(fd int, c *evConn, b []byte, thenClose bool) {
-			c.out = append(c.out, b...)
 			if thenClose {
 				c.dead = true
 			}
-			flush(fd, c)
+			if len(c.out) > 0 {
+				c.out = append(c.out, b...)
+				flush(fd, c)
+				return
+			}
+			c.out = append(c.out, push(fd, c, b)...)
+			settle(fd, c)
 		}
 
 		serve := func(path string) []byte {
@@ -157,15 +183,16 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 			statBuf := p.Alloc(16)
 			p.Syscall(kernel.SysStat, pathPtr, statBuf)
 			size := p.Load(statBuf, 8)
-			resp := []byte(fmt.Sprintf("200 %d\n", size))
+			resp := fmt.Appendf(respBuf[:0], "200 %d\n", size)
 			for {
 				n := p.Syscall(kernel.SysRead, ffd, ioBuf, chunk)
 				if _, bad := kernel.IsErr(n); bad || n == 0 {
 					break
 				}
-				resp = append(resp, p.Read(ioBuf, int(n))...)
+				resp = p.AppendRead(resp, ioBuf, int(n))
 			}
 			p.Syscall(kernel.SysClose, ffd)
+			respBuf = resp
 			return resp
 		}
 
@@ -222,28 +249,24 @@ func EventServerMain(cfg EventServerConfig) func(p *kernel.Proc) {
 				}
 				return
 			}
-			c.in = append(c.in, p.Read(ioBuf, int(ret))...)
-			for !c.dead {
-				nl := -1
-				for i, b := range c.in {
-					if b == '\n' {
-						nl = i
-						break
-					}
-				}
+			c.in = p.AppendRead(c.in, ioBuf, int(ret))
+			// Complete lines are consumed from off; the partial line
+			// left over moves to the front of c.in at the end. It is
+			// shorter than MaxHeader, so the move stays cheap.
+			off := 0
+			for !c.dead && !quit {
+				nl := bytes.IndexByte(c.in[off:], '\n')
 				if nl < 0 {
-					if len(c.in) > cfg.MaxHeader {
+					if len(c.in)-off > cfg.MaxHeader {
 						respond(fd, c, []byte("400\n"), true)
 					}
-					return
+					break
 				}
-				line := strings.TrimSpace(string(c.in[:nl]))
-				c.in = c.in[nl+1:]
+				line := strings.TrimSpace(string(c.in[off : off+nl]))
+				off += nl + 1
 				handleLine(fd, c, line)
-				if quit {
-					return
-				}
 			}
+			c.in = c.in[:copy(c.in, c.in[off:])]
 		}
 
 		for !quit {
@@ -345,8 +368,8 @@ func EventRequest(p *kernel.Proc, fd uint64, line string) (status string, body [
 		if _, bad := kernel.IsErr(n); bad || n == 0 {
 			return "", nil, false
 		}
-		acc = append(acc, p.Read(buf, int(n))...)
-		nl := strings.IndexByte(string(acc), '\n')
+		acc = p.AppendRead(acc, buf, int(n))
+		nl := bytes.IndexByte(acc, '\n')
 		if nl < 0 {
 			continue
 		}
@@ -362,7 +385,7 @@ func EventRequest(p *kernel.Proc, fd uint64, line string) (status string, body [
 			if _, bad := kernel.IsErr(n); bad || n == 0 {
 				return status, rest, false
 			}
-			rest = append(rest, p.Read(buf, int(n))...)
+			rest = p.AppendRead(rest, buf, int(n))
 		}
 		return status, rest, true
 	}

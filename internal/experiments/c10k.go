@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -97,13 +98,14 @@ type cliConn struct {
 	idx     int
 	kind    int
 	file    string
-	est     bool   // connect completed (first POLLOUT seen)
+	est     bool // connect completed (first POLLOUT seen)
 	reqLeft int
 	token   string // sealed session token (connSession)
 	start   uint64 // cycles at request send
-	acc     []byte // unparsed reply bytes
+	acc     []byte // partial status line (adversaries: the whole reply)
 	status  string // parsed status line, "" while waiting
-	want    int    // body bytes still expected
+	want    int    // body length from the status line
+	got     int    // body bytes received so far (counted, not kept)
 }
 
 const (
@@ -173,6 +175,9 @@ func c10kRun(serverMode repro.Mode, sc Scale) C10KResult {
 		pfd := p.Syscall(kernel.SysPollCreate)
 		evBuf := p.Alloc(c10kMaxEvents * 8)
 		ioBuf := p.Alloc(c10kChunk)
+		// inBuf receives every recv; a connection keeps only what it
+		// has not parsed yet.
+		var inBuf []byte
 		reqBuf := p.Alloc(c10kMaxHeader + 256)
 		junk := strings.Repeat("x", c10kMaxHeader+64) // no newline: must trip MaxHeader
 
@@ -238,7 +243,7 @@ func c10kRun(serverMode repro.Mode, sc Scale) C10KResult {
 			if firstSend == 0 {
 				firstSend = c.start
 			}
-			c.status, c.want = "", 0
+			c.status, c.want, c.got = "", 0, 0
 			c.acc = c.acc[:0]
 			if !sendLine(fd, line) {
 				res.Failures++
@@ -306,7 +311,7 @@ func c10kRun(serverMode repro.Mode, sc Scale) C10KResult {
 					case connSlowloris:
 						res.IdleKilled++
 					case connOversize:
-						if strings.HasPrefix(string(c.acc), "400") {
+						if bytes.HasPrefix(c.acc, []byte("400")) {
 							res.Rejected400++
 						} else {
 							res.Failures++
@@ -320,30 +325,40 @@ func c10kRun(serverMode repro.Mode, sc Scale) C10KResult {
 					closeConn(fd, c)
 					return
 				}
-				c.acc = append(c.acc, p.Read(ioBuf, int(ret))...)
+				in := p.AppendRead(inBuf[:0], ioBuf, int(ret))
+				inBuf = in
 				if c.kind == connSlowloris || c.kind == connOversize {
+					c.acc = append(c.acc, in...)
 					continue // adversaries only wait for the close
 				}
 				for {
 					if c.status == "" {
-						nl := strings.IndexByte(string(c.acc), '\n')
+						nl := bytes.IndexByte(in, '\n')
 						if nl < 0 {
+							c.acc = append(c.acc, in...)
 							break
 						}
-						c.status = strings.TrimSpace(string(c.acc[:nl]))
-						c.acc = c.acc[nl+1:]
-						c.want = 0
+						c.acc = append(c.acc, in[:nl]...)
+						c.status = strings.TrimSpace(string(c.acc))
+						c.acc = c.acc[:0]
+						in = in[nl+1:]
+						c.want, c.got = 0, 0
 						if strings.HasPrefix(c.status, "200 ") {
 							fmt.Sscanf(c.status, "200 %d", &c.want)
 						}
 					}
-					if len(c.acc) < c.want {
+					if c.got+len(in) < c.want {
+						c.got += len(in)
 						break
 					}
-					c.acc = c.acc[c.want:]
+					in = in[c.want-c.got:]
+					c.got = 0
 					finish(fd, c)
 					if _, live := conns[fd]; !live {
 						return
+					}
+					if c.status == "" {
+						break // a new request is out; nothing left here answers it
 					}
 				}
 			}

@@ -228,24 +228,23 @@ func (c *CPU) CopyToVirt(v Virt, b []byte) error {
 	return nil
 }
 
-// CopyFromVirt copies n bytes out of the virtual address space.
-func (c *CPU) CopyFromVirt(v Virt, n int) ([]byte, error) {
+// CopyFromVirtInto fills dst from the virtual address space at v, page
+// by page, charging block-copy costs for len(dst) bytes. The caller
+// owns dst, so a reused buffer makes the copy allocation-free.
+func (c *CPU) CopyFromVirtInto(v Virt, dst []byte) error {
 	c.Clock.ChargeOn(c.ID, TagMemAccess, CostMemAccess)
-	c.Clock.ChargeBytesOn(c.ID, TagMemAccess, n, CostBcopyPerByte)
-	out := make([]byte, n)
-	pos := 0
-	for n > 0 {
-		chunk := min(n, int(PageSize-(v&(PageSize-1))))
+	c.Clock.ChargeBytesOn(c.ID, TagMemAccess, len(dst), CostBcopyPerByte)
+	for len(dst) > 0 {
+		chunk := min(len(dst), int(PageSize-(v&(PageSize-1))))
 		p, err := c.MMU.Translate(v, AccRead, c.Regs.Priv == User)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if err := c.MMU.mem.ReadPhysInto(p, out[pos:pos+chunk]); err != nil {
-			return nil, err
+		if err := c.MMU.mem.ReadPhysInto(p, dst[:chunk]); err != nil {
+			return err
 		}
-		pos += chunk
 		v += Virt(chunk)
-		n -= chunk
+		dst = dst[chunk:]
 	}
-	return out, nil
+	return nil
 }

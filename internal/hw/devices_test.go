@@ -74,6 +74,51 @@ func TestNICDelivery(t *testing.T) {
 	}
 }
 
+// TestNICFrameOwnership pins the frame rules: Send hands the buffer
+// itself to the peer, Release recycles it through the cable's shared
+// free list (so the sender gets it back), a record tap keeps its frames
+// out of the free list, foreign buffers are ignored, and Inject copies.
+func TestNICFrameOwnership(t *testing.T) {
+	clk := &Clock{}
+	a, b := NewNIC(clk), NewNIC(clk)
+	Connect(a, b)
+	f := a.Frame(MTU)
+	copy(f, "frame")
+	a.Send(Packet{Port: 1, Payload: f})
+	pkt, _ := b.Receive(1)
+	if &pkt.Payload[0] != &f[0] {
+		t.Fatalf("Send copied the frame")
+	}
+	b.Release(pkt.Payload)
+	if g := a.Frame(600); &g[0] != &f[0] || len(g) != 600 {
+		t.Errorf("released frame not reused by the sending end")
+	}
+
+	var tapped [][]byte
+	b.SetRecvTap(func(p Packet) { tapped = append(tapped, p.Payload) })
+	h := a.Frame(10)
+	copy(h, "kept by tap")
+	a.Send(Packet{Port: 2, Payload: h})
+	pkt, _ = b.Receive(2)
+	b.Release(pkt.Payload)
+	if r := a.Frame(10); &r[0] == &h[0] {
+		t.Errorf("frame recycled while a record tap holds it")
+	}
+	b.SetRecvTap(nil)
+
+	b.Release([]byte("foreign"))
+	if r := a.Frame(7); cap(r) != shortFrameCap {
+		t.Errorf("foreign buffer entered the free list (cap %d)", cap(r))
+	}
+
+	orig := []byte("inject")
+	b.Inject(Packet{Port: 3, Payload: orig})
+	orig[0] = 'X'
+	if pkt, _ := b.Receive(3); string(pkt.Payload) != "inject" {
+		t.Errorf("Inject aliased its caller's buffer: %q", pkt.Payload)
+	}
+}
+
 func TestNICPortDemux(t *testing.T) {
 	clk := &Clock{}
 	a, b := NewNIC(clk), NewNIC(clk)

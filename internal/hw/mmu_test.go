@@ -239,8 +239,8 @@ func TestCPUCopyAcrossPages(t *testing.T) {
 	if err := cpu.CopyToVirt(start, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cpu.CopyFromVirt(start, len(data))
-	if err != nil {
+	got := make([]byte, len(data))
+	if err := cpu.CopyFromVirtInto(start, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {

@@ -18,6 +18,14 @@ import "sort"
 // Like the disk, the wire is untrusted: the peer helper methods expose
 // everything in flight, which is why ghosting applications encrypt
 // network payloads.
+//
+// Frame ownership (DESIGN.md §8): Send hands the payload buffer itself
+// to the peer's receive queue — the sender must not touch it again —
+// and the receiving stack owns it from Receive on. Frames are never
+// mutated after Send, so Snoop, snapshots and the record tap can read
+// or keep them. A stack that has consumed a frame may give it back
+// with Release; both ends of a cable share one free list, so frames
+// circulate from receiver back to sender instead of being reallocated.
 type NIC struct {
 	clock *Clock
 	// rxq holds the per-port receive queues: packets delivered to this
@@ -57,6 +65,32 @@ type NIC struct {
 	// record layer's view of external input arriving on the wire. Pure
 	// host bookkeeping, charges nothing.
 	recvTap func(Packet)
+
+	// frames is the free list of released transmit buffers, shared by
+	// both ends of a cable (Connect). Host-side only.
+	frames *framePool
+}
+
+// framePool holds released frame buffers in two size classes: short
+// frames (handshakes, FINs, request lines) and full-MTU ones, so the
+// short ones do not pin MTU-sized buffers.
+type framePool struct{ short, full [][]byte }
+
+const (
+	// shortFrameCap is the capacity of a short-class frame buffer.
+	shortFrameCap = 256
+	// maxFreeFrames bounds each class's free list (about 7 MB in all):
+	// past it, released frames are left to the garbage collector.
+	maxFreeFrames = 4096
+)
+
+// class returns the free list and buffer capacity for frames of n
+// bytes.
+func (fp *framePool) class(n int) (*[][]byte, int) {
+	if n <= shortFrameCap {
+		return &fp.short, shortFrameCap
+	}
+	return &fp.full, MTU
 }
 
 // rxPacket is a queued frame plus its global arrival sequence number.
@@ -97,6 +131,7 @@ func NewNIC(clock *Clock) *NIC {
 		latencyCycles: nicLatencyCycles,
 		perByteCycles: nicPerByteCycles,
 		portLimit:     defaultPortLimit,
+		frames:        &framePool{},
 	}
 }
 
@@ -104,6 +139,7 @@ func NewNIC(clock *Clock) *NIC {
 func Connect(a, b *NIC) {
 	a.peer = b
 	b.peer = a
+	b.frames = a.frames
 }
 
 // Peer returns the NIC at the other end of the cable, nil if unplugged.
@@ -121,9 +157,36 @@ func (n *NIC) SetPortLimit(limit int) { n.portLimit = limit }
 // PortLimit reports the per-port queue cap.
 func (n *NIC) PortLimit() int { return n.portLimit }
 
+// Frame returns a size-byte transmit buffer (size <= MTU), reusing a
+// released frame of its size class when the cable's free list has one.
+// Its contents are stale: the caller overwrites all size bytes.
+func (n *NIC) Frame(size int) []byte {
+	free, c := n.frames.class(size)
+	if k := len(*free); k > 0 {
+		b := (*free)[k-1]
+		(*free)[k-1] = nil
+		*free = (*free)[:k-1]
+		return b[:size]
+	}
+	return make([]byte, size, c)
+}
+
+// Release returns a frame the receiving stack has finished with to the
+// cable's free list. Buffers Frame did not make are ignored, and so is
+// everything while a record tap is installed on this NIC: the tap keeps
+// the frames it observed.
+func (n *NIC) Release(b []byte) {
+	free, c := n.frames.class(cap(b))
+	if n.recvTap != nil || cap(b) != c || len(*free) >= maxFreeFrames {
+		return
+	}
+	*free = append(*free, b[:0])
+}
+
 // Send transmits a packet to the peer, charging latency + serialization
 // time. Oversized payloads are rejected by the caller (the kernel's
-// network stack segments to MTU).
+// network stack segments to MTU). The payload buffer passes to the
+// peer without a copy; the caller must not modify it afterwards.
 func (n *NIC) Send(p Packet) {
 	n.clock.Charge(TagNet, n.latencyCycles+uint64(float64(len(p.Payload))*n.perByteCycles))
 	n.bytesSent += uint64(len(p.Payload))
@@ -142,16 +205,15 @@ func (n *NIC) deliver(p Packet) {
 		return
 	}
 	n.bytesReceived += uint64(len(p.Payload))
-	cp := Packet{Port: p.Port, Payload: append([]byte(nil), p.Payload...)}
 	if len(q) == 0 {
 		n.insertPort(p.Port)
 	}
-	n.rxq[p.Port] = append(q, rxPacket{pkt: cp, seq: n.nextSeq})
+	n.rxq[p.Port] = append(q, rxPacket{pkt: p, seq: n.nextSeq})
 	n.nextSeq++
 	n.rxCount++
-	n.queuedBytes[p.Port] += uint64(len(cp.Payload))
+	n.queuedBytes[p.Port] += uint64(len(p.Payload))
 	if n.recvTap != nil {
-		n.recvTap(cp)
+		n.recvTap(p)
 	}
 }
 
@@ -175,10 +237,12 @@ func (n *NIC) removePort(port uint16) {
 // by the record layer.
 func (n *NIC) SetRecvTap(fn func(Packet)) { n.recvTap = fn }
 
-// Inject delivers a packet into the receive queue as if it had arrived
-// from the wire, charging nothing — the replay layer's re-enactment of
-// a recorded external arrival.
-func (n *NIC) Inject(p Packet) { n.deliver(p) }
+// Inject delivers a copy of a packet into the receive queue as if it
+// had arrived from the wire, charging nothing — the replay layer's
+// re-enactment of a recorded external arrival. The caller keeps p.
+func (n *NIC) Inject(p Packet) {
+	n.deliver(Packet{Port: p.Port, Payload: append([]byte(nil), p.Payload...)})
+}
 
 // Receive dequeues the next packet destined for port in arrival order.
 // It reports ok=false if none is queued. O(1) amortized: a map lookup

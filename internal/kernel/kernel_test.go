@@ -9,7 +9,7 @@ import (
 )
 
 // bootKernel boots a kernel on the requested mode for tests.
-func bootKernel(t *testing.T, mode core.Mode) *Kernel {
+func bootKernel(t testing.TB, mode core.Mode) *Kernel {
 	t.Helper()
 	m := hw.NewMachine(hw.DefaultConfig())
 	var hal core.HAL

@@ -254,17 +254,18 @@ func (k *Kernel) resolveFault(p *Proc, va hw.Virt) bool {
 	return true
 }
 
-// copyin is the kernel's fault-tolerant copy from user space: like the
-// real copyin, it services demand-paging faults on the user buffer.
-func (k *Kernel) copyin(p *Proc, va hw.Virt, n int) ([]byte, error) {
+// copyin is the kernel's fault-tolerant copy from user space into dst:
+// like the real copyin, it services demand-paging faults on the user
+// buffer.
+func (k *Kernel) copyin(p *Proc, va hw.Virt, dst []byte) error {
 	for tries := 0; ; tries++ {
-		b, err := k.HAL.Copyin(p.root, va, n)
+		err := k.HAL.Copyin(p.root, va, dst)
 		if err == nil {
-			return b, nil
+			return nil
 		}
 		var f *hw.Fault
-		if !errorsAs(err, &f) || tries > n/hw.PageSize+2 || !k.resolveFault(p, f.VA) {
-			return nil, err
+		if !errorsAs(err, &f) || tries > len(dst)/hw.PageSize+2 || !k.resolveFault(p, f.VA) {
+			return err
 		}
 	}
 }

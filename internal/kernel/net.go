@@ -77,8 +77,11 @@ type Conn struct {
 	// destination port): POLLERR, and blocking connect returns
 	// ECONNREFUSED.
 	refused bool
-	rx      []byte
-	// rxWindow caps len(rx) + bytes queued for this port in the NIC.
+	// rxBuf[rxHead:] is the received data the reader has not consumed
+	// (see "receive buffers" below).
+	rxBuf  []byte
+	rxHead int
+	// rxWindow caps rxLen() + bytes queued for this port in the NIC.
 	rxWindow int
 	// idleTimeout, when non-zero, auto-closes the connection after
 	// that many cycles without receive activity (keep-alive kill). The
@@ -93,6 +96,58 @@ func (c *Conn) LocalPort() uint16 { return c.local }
 
 // Established reports the handshake state (nonblocking connect).
 func (c *Conn) Established() bool { return c.established }
+
+// --- receive buffers -------------------------------------------------------
+//
+// A connection's unread bytes are rxBuf[rxHead:]. The reader copies out
+// of it (rxRead) and never keeps a reference, so the backing array is
+// reused for the connection's whole life: it rewinds to the start
+// whenever the reader drains it. drainPort reserves room for everything
+// queued on the port before delivering, so a reply that arrives as many
+// frames costs one buffer, not a series of doublings. All of this is
+// host-side bookkeeping: the byte count the window math sees (rxLen) is
+// exactly the unread bytes, however they are stored.
+
+// rxLen reports the buffered bytes not yet read — the count the
+// receive-window math charges.
+func (c *Conn) rxLen() int { return len(c.rxBuf) - c.rxHead }
+
+// rxAppend queues received bytes behind the unread ones.
+func (c *Conn) rxAppend(data []byte) {
+	c.rxReserve(len(data))
+	c.rxBuf = append(c.rxBuf, data...)
+}
+
+// rxReserve makes room for n more bytes behind the unread ones. When
+// the consumed prefix is at least as long as the unread tail and the
+// tail plus n fits, the tail slides to the front; otherwise it moves to
+// a new array at least twice its size. Either way each move is paid for
+// by bytes read or bytes received since the last one, so a long bulk
+// transfer that never quite drains stays linear — the unread tail is
+// never moved on every read.
+func (c *Conn) rxReserve(n int) {
+	if len(c.rxBuf)+n <= cap(c.rxBuf) {
+		return
+	}
+	unread := c.rxBuf[c.rxHead:]
+	if c.rxHead >= len(unread) && len(unread)+n <= cap(c.rxBuf) {
+		c.rxBuf = c.rxBuf[:copy(c.rxBuf, unread)]
+	} else {
+		c.rxBuf = append(make([]byte, 0, max(len(unread)+n, 2*len(unread))), unread...)
+	}
+	c.rxHead = 0
+}
+
+// rxRead moves up to len(b) unread bytes into b and reports how many.
+// A drained buffer rewinds to the start of its backing array.
+func (c *Conn) rxRead(b []byte) int {
+	n := copy(b, c.rxBuf[c.rxHead:])
+	c.rxHead += n
+	if c.rxHead == len(c.rxBuf) {
+		c.rxBuf, c.rxHead = c.rxBuf[:0], 0
+	}
+	return n
+}
 
 // backlogEntry is one pending SYN on a listener.
 type backlogEntry struct {
@@ -217,10 +272,13 @@ func (ns *NetStack) allocPort() (uint16, uint64) {
 }
 
 // send routes one frame: via the loopback interface when the
-// destination endpoint is on this host, via the NIC otherwise.
+// destination endpoint is on this host, via the NIC otherwise. The
+// frame buffer comes from the NIC's free list; a wire frame belongs to
+// the receiver from Send on, a loopback frame is released as soon as
+// it has been processed.
 func (ns *NetStack) send(typ byte, src, dst uint16, data []byte, toLocal bool) {
 	ns.k.HAL.KAccess(workNetPerPacket)
-	pl := make([]byte, netHdrSize+len(data))
+	pl := ns.nic.Frame(netHdrSize + len(data))
 	pl[0] = typ
 	pl[1], pl[2] = byte(src), byte(src>>8)
 	pl[3], pl[4] = byte(dst), byte(dst>>8)
@@ -228,6 +286,7 @@ func (ns *NetStack) send(typ byte, src, dst uint16, data []byte, toLocal bool) {
 	if toLocal {
 		ns.k.M.Clock.Charge(hw.TagNet, loopbackCycles)
 		ns.handlePacket(dst, pl, true)
+		ns.nic.Release(pl)
 		return
 	}
 	ns.nic.Send(hw.Packet{Port: dst, Payload: pl})
@@ -265,7 +324,7 @@ func (ns *NetStack) sendRoom(c *Conn) int {
 	if !ok || rc.remote != c.local {
 		return maxSegment
 	}
-	room := rc.rxWindow - len(rc.rx)
+	room := rc.rxWindow - rc.rxLen()
 	if !c.remoteIsLocal {
 		room -= int(ps.nic.QueuedBytes(c.remote))
 	}
@@ -296,9 +355,14 @@ func (ns *NetStack) Poll() {
 // behind over-window data waits with it, and the un-consumed bytes
 // keep charging the sender's view of the window).
 func (ns *NetStack) drainPort(port uint16) {
+	if c, ok := ns.conns[port]; ok {
+		// One reservation for the whole queue (headers included) instead
+		// of growing the buffer frame by frame.
+		c.rxReserve(int(ns.nic.QueuedBytes(port)))
+	}
 	for {
 		if c, ok := ns.conns[port]; ok {
-			if n := ns.nic.PeekPayloadLen(port); n > netHdrSize && len(c.rx)+(n-netHdrSize) > c.rxWindow {
+			if n := ns.nic.PeekPayloadLen(port); n > netHdrSize && c.rxLen()+(n-netHdrSize) > c.rxWindow {
 				return
 			}
 		}
@@ -317,6 +381,7 @@ func (ns *NetStack) drainPort(port uint16) {
 			ns.k.HAL.KAccess(workNetPerPacket)
 		}
 		ns.handlePacket(port, pkt.Payload, false)
+		ns.nic.Release(pkt.Payload)
 	}
 }
 
@@ -333,7 +398,7 @@ func (ns *NetStack) deliverable() bool {
 		if !ok {
 			return true // listener, or a late frame a drain will drop
 		}
-		if n := ns.nic.PeekPayloadLen(port); n <= netHdrSize || len(c.rx)+(n-netHdrSize) <= c.rxWindow {
+		if n := ns.nic.PeekPayloadLen(port); n <= netHdrSize || c.rxLen()+(n-netHdrSize) <= c.rxWindow {
 			return true
 		}
 	}
@@ -392,7 +457,7 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 			ns.stats.LateDataDrops++
 			return
 		}
-		c.rx = append(c.rx, data...)
+		c.rxAppend(data)
 		ns.touch(c)
 	case pktFIN:
 		c, ok := ns.conns[port]
@@ -542,30 +607,22 @@ func (ns *NetStack) Send(p *Proc, c *Conn, data []byte, nonblock bool) (int, uin
 	return sent, 0
 }
 
-// Recv returns buffered data, blocking until some arrives or the peer
-// closes (then 0 = EOF). Buffered data is always drained before EOF is
-// reported, even after the peer's FIN. Nonblocking mode returns EAGAIN
-// instead of blocking.
-func (ns *NetStack) Recv(p *Proc, c *Conn, max int, nonblock bool) ([]byte, uint64) {
-	if len(c.rx) == 0 && nonblock {
+// Recv copies buffered data into b and reports the byte count,
+// blocking until some arrives or the peer closes (then 0 = EOF).
+// Buffered data is always drained before EOF is reported, even after
+// the peer's FIN. Nonblocking mode returns EAGAIN instead of blocking,
+// leaving b untouched.
+func (ns *NetStack) Recv(p *Proc, c *Conn, b []byte, nonblock bool) (int, uint64) {
+	if c.rxLen() == 0 && nonblock {
 		ns.Poll()
-		if len(c.rx) == 0 && !c.peerClosed && !c.closed {
-			return nil, EAGAIN
+		if c.rxLen() == 0 && !c.peerClosed && !c.closed {
+			return 0, EAGAIN
 		}
 	}
 	if !nonblock {
-		p.block(func() bool { ns.Poll(); return len(c.rx) > 0 || c.peerClosed || c.closed })
+		p.block(func() bool { ns.Poll(); return c.rxLen() > 0 || c.peerClosed || c.closed })
 	}
-	if len(c.rx) == 0 {
-		return nil, 0 // EOF
-	}
-	n := len(c.rx)
-	if n > max {
-		n = max
-	}
-	out := c.rx[:n]
-	c.rx = c.rx[n:]
-	return out, 0
+	return c.rxRead(b), 0
 }
 
 // CloseConn sends FIN, cancels the connection's timers, and releases
@@ -602,16 +659,22 @@ type Socket struct {
 	timeo uint64
 }
 
+// The EAGAIN errors are held as interface values so the nonblocking
+// fast path returns them without allocating.
+var (
+	errRecvWouldBlock error = errnoError{EAGAIN, "recv would block"}
+	errSendWouldBlock error = errnoError{EAGAIN, "send would block"}
+)
+
 func (s *Socket) ReadAt(p *Proc, b []byte, off int64) (int, error) {
 	if s.conn == nil {
 		return 0, ErrNotReadable
 	}
-	data, e := s.ns.Recv(p, s.conn, len(b), s.nonblock)
+	n, e := s.ns.Recv(p, s.conn, b, s.nonblock)
 	if e != 0 {
-		return 0, errnoError{e, "recv would block"}
+		return 0, errRecvWouldBlock
 	}
-	copy(b, data)
-	return len(data), nil
+	return n, nil
 }
 
 func (s *Socket) WriteAt(p *Proc, b []byte, off int64) (int, error) {
@@ -628,7 +691,7 @@ func (s *Socket) WriteAt(p *Proc, b []byte, off int64) (int, error) {
 	case EPIPE:
 		return n, ErrPipeBroken
 	default:
-		return n, errnoError{e, "send would block"}
+		return n, errSendWouldBlock
 	}
 }
 
@@ -641,7 +704,7 @@ func (s *Socket) Ready() bool {
 	}
 	if s.conn != nil {
 		s.ns.Poll()
-		return len(s.conn.rx) > 0 || s.conn.peerClosed || s.conn.closed
+		return s.conn.rxLen() > 0 || s.conn.peerClosed || s.conn.closed
 	}
 	return false
 }
@@ -885,7 +948,7 @@ func (ps *PollSet) readiness(p *Proc, fd int) uint32 {
 		if c.timedOut || c.refused {
 			ev |= POLLERR
 		}
-		if len(c.rx) > 0 || c.peerClosed || c.closed {
+		if c.rxLen() > 0 || c.peerClosed || c.closed {
 			ev |= POLLIN
 		}
 		if c.peerClosed || c.closed {

@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hw"
@@ -139,6 +140,12 @@ type Proc struct {
 	fds    []*FileDesc
 	fdHint int
 
+	// kbuf is the kernel-side buffer read and write stage data through
+	// (ioBuf), kept across calls so steady-state I/O allocates nothing.
+	// One syscall uses it at a time; a later call reuses it, so nothing
+	// may keep a slice of it past the syscall that filled it.
+	kbuf []byte
+
 	// signals (kernel side)
 	sigHandlers map[int]uint64
 	sigPending  []int
@@ -147,6 +154,24 @@ type Proc struct {
 	// the Go closures that stand in for the code there.
 	handlerFns map[uint64]HandlerFunc
 	nextCode   uint64
+}
+
+// ioBufCap caps the reusable per-process I/O buffer: calls up to this
+// size share it; larger ones get a transient buffer, so one huge read
+// does not pin its size on the process for life.
+const ioBufCap = 64 << 10
+
+// ioBuf returns an n-byte kernel buffer for the current syscall. Its
+// contents are stale (left over from earlier calls): callers must
+// overwrite what they use and copy out only what they filled.
+func (p *Proc) ioBuf(n int) []byte {
+	if n > ioBufCap {
+		return make([]byte, n)
+	}
+	if cap(p.kbuf) < n {
+		p.kbuf = make([]byte, min(max(n, 2*cap(p.kbuf)), ioBufCap))
+	}
+	return p.kbuf[:n]
 }
 
 // newProc allocates the kernel-side process structure and its address
@@ -586,16 +611,19 @@ func (p *Proc) cpuHW() *hw.CPU { return p.k.M.CPUs[p.onCPU] }
 
 // Read copies n bytes from user memory into a fresh Go slice.
 func (p *Proc) Read(va uint64, n int) []byte {
-	var out []byte
+	return p.AppendRead(make([]byte, 0, n), va, n)
+}
+
+// AppendRead appends n bytes of user memory at va to dst, growing dst
+// in place, and returns the extended slice — Read for callers that
+// accumulate input in a buffer of their own.
+func (p *Proc) AppendRead(dst []byte, va uint64, n int) []byte {
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
 	p.faultingAccess(func() error {
-		b, err := p.cpuHW().CopyFromVirt(hw.Virt(va), n)
-		if err != nil {
-			return err
-		}
-		out = b
-		return nil
+		return p.cpuHW().CopyFromVirtInto(hw.Virt(va), out)
 	})
-	return out
+	return dst[:len(dst)+n]
 }
 
 // Write copies bytes into user memory.

@@ -46,8 +46,8 @@ func copyinPath(k *Kernel, p *Proc, va uint64) (string, uint64) {
 	const maxPath = 512
 	var out []byte
 	for len(out) < maxPath {
-		chunk, err := k.copyin(p, hw.Virt(va)+hw.Virt(len(out)), 32)
-		if err != nil {
+		chunk := p.ioBuf(32)
+		if err := k.copyin(p, hw.Virt(va)+hw.Virt(len(out)), chunk); err != nil {
 			return "", errno(EFAULT)
 		}
 		for _, c := range chunk {
@@ -123,21 +123,59 @@ func sysClose(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	return 0
 }
 
+// maxRWCount clamps one read or write, as Linux's MAX_RW_COUNT does: a
+// larger count transfers at most this many bytes (a legal short
+// count), so a count that passes accessOK still cannot size an
+// unbounded host buffer. No workload moves more than a few MiB in one
+// call.
+const maxRWCount = 64 << 20
+
+// accessOK is the kernel's access_ok: [va, va+n) must lie inside one
+// user-addressable partition — traditional user memory or the ghost
+// partition (passing a ghost pointer is legal; under Virtual Ghost the
+// masked copy lands harmlessly in kernel space). read and write check
+// it before sizing any buffer by n.
+func accessOK(va uint64, n int) bool {
+	if n == 0 {
+		return true
+	}
+	last := va + uint64(n) - 1
+	if last < va {
+		return false // wraps around the address space
+	}
+	lo, hi := hw.Virt(va), hw.Virt(last)
+	return (hw.IsUser(lo) && hw.IsUser(hi)) || (hw.IsGhost(lo) && hw.IsGhost(hi))
+}
+
+// rwCount validates read/write's buffer and count arguments and returns
+// the count to transfer, or an errno.
+func rwCount(ic core.IContext) (int, uint64) {
+	n := int(ic.Arg(2))
+	if n < 0 {
+		return 0, EINVAL
+	}
+	if !accessOK(ic.Arg(1), n) {
+		return 0, EFAULT
+	}
+	return min(n, maxRWCount), 0
+}
+
 // sysRead implements read(fd, buf, n): the kernel reads into its own
 // buffer and copies out through the instrumented accessors, so a buffer
 // pointer aimed at ghost memory lands harmlessly in kernel space under
-// Virtual Ghost.
+// Virtual Ghost. The kernel buffer is the process's reusable I/O buffer
+// (Proc.ioBuf); only the got bytes the file filled are copied out.
 func sysRead(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	d, e := p.fd(int(ic.Arg(0)))
 	if e != 0 {
 		return errno(e)
 	}
-	n := int(ic.Arg(2))
-	if n < 0 {
-		return errno(EINVAL)
+	n, e := rwCount(ic)
+	if e != 0 {
+		return errno(e)
 	}
 	k.HAL.KAccess(workReadWriteBase)
-	buf := make([]byte, n)
+	buf := p.ioBuf(n)
 	k.HAL.OnIndirectCall(1) // fo_read through the file-ops table
 	got, err := d.Ops.ReadAt(p, buf, d.Off)
 	if err != nil {
@@ -160,13 +198,13 @@ func sysWrite(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	if e != 0 {
 		return errno(e)
 	}
-	n := int(ic.Arg(2))
-	if n < 0 {
-		return errno(EINVAL)
+	n, e := rwCount(ic)
+	if e != 0 {
+		return errno(e)
 	}
 	k.HAL.KAccess(workReadWriteBase)
-	buf, err := k.copyin(p, hw.Virt(ic.Arg(1)), n)
-	if err != nil {
+	buf := p.ioBuf(n)
+	if err := k.copyin(p, hw.Virt(ic.Arg(1)), buf); err != nil {
 		return errno(EFAULT)
 	}
 	k.HAL.OnIndirectCall(1) // fo_write
@@ -310,8 +348,8 @@ func sysSelect(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		return errno(EINVAL)
 	}
 	k.HAL.KAccess(workSelectBase + workSelectPerFD*nfds)
-	raw, err := k.copyin(p, hw.Virt(ic.Arg(0)), nfds*4)
-	if err != nil {
+	raw := p.ioBuf(nfds * 4)
+	if err := k.copyin(p, hw.Virt(ic.Arg(0)), raw); err != nil {
 		return errno(EFAULT)
 	}
 	fds := make([]int, nfds)

@@ -12,6 +12,7 @@ import (
 	"repro"
 	"repro/internal/apps/lmbench"
 	"repro/internal/kernel"
+	"repro/internal/vir"
 )
 
 // TestGoldenCycles pins the virtual-clock behaviour of the Table 2
@@ -106,6 +107,75 @@ func collectGolden() map[string]goldenEntry {
 			Cycles: s.Machine.Clock.Cycles() - c0,
 		}
 	}
+	for name, e := range demoRows(kernel.EngineLinked) {
+		got[name] = e
+	}
+	return got
+}
+
+// demoIters is the fixed loop count of the demo-module rows.
+const demoIters = 64
+
+// demoRuns lists the demo-module routines pinned by the golden file:
+// elidedemo's hotstore (three masks of one pointer per iteration) and
+// twice (two indirect calls through one register), and fusedemo's
+// hotloop (a counted loop with a mask+store/load body and a call tail)
+// and dispatch (a monomorphic indirect-call loop). Each runs on a fresh
+// Virtual Ghost system, the configuration these modules were written
+// for.
+var demoRuns = []struct {
+	file, fn string
+	args     []uint64
+}{
+	{"elidedemo.vir", "hotstore", []uint64{0xffffff8000001000, demoIters}},
+	{"elidedemo.vir", "twice", []uint64{1}},
+	{"fusedemo.vir", "hotloop", []uint64{0xffffff8000002000, demoIters}},
+	{"fusedemo.vir", "dispatch", []uint64{0, demoIters}},
+}
+
+// demoRows runs every demo routine under the given engine and returns
+// its rows: the routine's return value and the cycles its call charged.
+// On the linked engine each routine also runs with elision and fusion
+// switched off, and any difference between those configurations panics.
+func demoRows(engine kernel.EngineKind) map[string]goldenEntry {
+	type toggles struct{ elide, fuse bool }
+	configs := []toggles{{true, true}}
+	if engine == kernel.EngineLinked {
+		configs = append(configs, toggles{false, true}, toggles{true, false}, toggles{false, false})
+	}
+	got := make(map[string]goldenEntry)
+	for _, d := range demoRuns {
+		name := fmt.Sprintf("demo/vghost/%s", d.fn)
+		for i, c := range configs {
+			src, err := os.ReadFile(filepath.Join("testdata", d.file))
+			if err != nil {
+				panic(err)
+			}
+			m, err := vir.ParseModule(string(src))
+			if err != nil {
+				panic(err)
+			}
+			s := newSystem(repro.VirtualGhost)
+			k := s.Kernel
+			k.SetEngine(engine)
+			k.SetElision(c.elide)
+			k.SetFusion(c.fuse)
+			mod, err := k.LoadModule(m)
+			if err != nil {
+				panic(err)
+			}
+			c0 := s.Machine.Clock.Cycles()
+			ret, err := k.RunModuleFunc(mod, d.fn, d.args...)
+			if err != nil {
+				panic(err)
+			}
+			e := goldenEntry{Value: float64(ret), Cycles: s.Machine.Clock.Cycles() - c0}
+			if i > 0 && e != got[name] {
+				panic(fmt.Sprintf("%s: elide=%v fuse=%v gives %+v, want %+v", name, c.elide, c.fuse, e, got[name]))
+			}
+			got[name] = e
+		}
+	}
 	return got
 }
 
@@ -155,6 +225,14 @@ func TestGoldenCycles(t *testing.T) {
 	for n := range got {
 		if _, ok := want[n]; !ok {
 			t.Errorf("%s: not in golden file (run with -update after review)", n)
+		}
+	}
+	// The reference interpreter must charge the demo routines exactly
+	// what the linked engine does.
+	for n, g := range demoRows(kernel.EngineReference) {
+		if g != want[n] {
+			t.Errorf("%s: reference engine differs from golden:\n  golden:    value=%v cycles=%d\n  reference: value=%v cycles=%d",
+				n, want[n].Value, want[n].Cycles, g.Value, g.Cycles)
 		}
 	}
 }

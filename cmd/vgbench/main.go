@@ -35,8 +35,6 @@ func main() {
 	breakdown := flag.Bool("breakdown", false, "print per-tag cycle attribution under Table 2/3/4")
 	traceOut := flag.String("trace", "", "record tagged charge events and write a Chrome trace_event JSON file at exit")
 	engineFlag := flag.String("engine", "linked", "IR execution engine: linked|reference")
-	elideFlag := flag.String("elide", "on", "elide host work of proven-redundant checks: on|off (virtual numbers identical either way)")
-	fuseFlag := flag.String("fuse", "on", "fuse hot instruction idioms into superinstructions: on|off (virtual numbers identical either way)")
 	snapshotFlag := flag.String("snapshot", "", "save=PATH writes a post-boot snapshot bundle; use=PATH warm-starts every measurement system from one (virtual numbers identical either way)")
 	replayFlag := flag.Bool("replay", false, "serve recorded nondeterministic inputs from the snapshot image (needs -snapshot use= of a recorded image)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -48,7 +46,9 @@ func main() {
 			*only, strings.Join(experimentNames, ", "))
 		os.Exit(2)
 	}
-	execCfg, err := kernel.ResolveExecFlags(execFlags(*engineFlag, *elideFlag, *fuseFlag, *hostpar, *cpus, *snapshotFlag, *replayFlag))
+	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{
+		Engine: *engineFlag, HostPar: *hostpar, CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag,
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -313,46 +313,6 @@ func main() {
 		}
 		record("cpu_scaling_ghost_httpd", ns, allocs, ab, metrics)
 	}
-	if run("elide") {
-		var rep experiments.ElisionReport
-		ns, allocs, ab := timed(func() { rep = experiments.CheckElision(sc.PostmarkTxns) })
-		fmt.Println(experiments.FormatElision(rep))
-		metrics := map[string]float64{
-			"masks_elided":   float64(rep.MasksElided),
-			"cfi_elided":     float64(rep.CFIElided),
-			"host_speedup_x": rep.HostSpeedup(),
-		}
-		if rep.Enabled {
-			metrics["enabled"] = 1
-		} else {
-			metrics["enabled"] = 0
-		}
-		for name, c := range rep.Modules {
-			metrics[name+"/masks_proven"] = float64(c.Masks)
-			metrics[name+"/cfi_proven"] = float64(c.CFIs)
-		}
-		record("check_elision", ns, allocs, ab, metrics)
-	}
-	if run("fuse") {
-		var rep experiments.FusionReport
-		ns, allocs, ab := timed(func() { rep = experiments.CheckFusion(sc.PostmarkTxns) })
-		fmt.Println(experiments.FormatFusion(rep))
-		metrics := map[string]float64{
-			"sites_fused":    float64(rep.SitesFused),
-			"ic_hits":        float64(rep.ICHits),
-			"ic_misses":      float64(rep.ICMisses),
-			"host_speedup_x": rep.HostSpeedup(),
-		}
-		if rep.Enabled {
-			metrics["enabled"] = 1
-		} else {
-			metrics["enabled"] = 0
-		}
-		for name, n := range rep.Modules {
-			metrics[name+"/sites_fused"] = float64(n)
-		}
-		record("superinstruction_fusion", ns, allocs, ab, metrics)
-	}
 	if run("c10k") {
 		var cmp experiments.C10KCompare
 		ns, allocs, ab := timed(func() { cmp = experiments.C10K(sc) })
@@ -449,23 +409,7 @@ func main() {
 }
 
 // experimentNames are the valid -only values, in run order.
-var experimentNames = []string{"t2", "t3", "t4", "f2", "f3", "f4", "t5", "sec", "cpu", "elide", "fuse", "c10k", "snap"}
-
-// execFlags assembles the shared engine-flag set for kernel validation,
-// recording which of -elide/-fuse the user passed explicitly
-// (flag.Visit only sees flags present on the command line).
-func execFlags(engine, elide, fuse string, hostpar bool, cpus int, snapshot string, replay bool) kernel.ExecFlags {
-	ef := kernel.ExecFlags{Engine: engine, Elide: elide, Fuse: fuse, HostPar: hostpar, CPUs: cpus, Snapshot: snapshot, Replay: replay}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "elide":
-			ef.ElideSet = true
-		case "fuse":
-			ef.FuseSet = true
-		}
-	})
-	return ef
-}
+var experimentNames = []string{"t2", "t3", "t4", "f2", "f3", "f4", "t5", "sec", "cpu", "c10k", "snap"}
 
 var validExperiments = func() map[string]bool {
 	m := make(map[string]bool, len(experimentNames))

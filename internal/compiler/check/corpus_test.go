@@ -35,6 +35,15 @@ func TestAdversarialCorpus(t *testing.T) {
 			want: nil,
 		},
 		{
+			// Redundant re-masks of one pointer (in a loop, across a
+			// diamond, around a call) and repeated indirect calls
+			// through one checked register are admitted: redundancy
+			// is safe, only a missing check is refused.
+			file: "redundant.vir",
+			cfg:  Config{Label: 0xCF1},
+			want: nil,
+		},
+		{
 			// A mov of an unmasked register into a store address, and
 			// arithmetic on an already-masked pointer (add 0 included),
 			// both destroy the masking proof.

@@ -6,21 +6,20 @@ import (
 	"repro/internal/vir"
 )
 
-// This file is the reusable forward-dataflow framework the admission
-// checker's analyses are built on. It started life as a one-off
-// masked-value fixpoint; the generalized form factors the three parts
-// every forward analysis over VIR shares —
+// This file is the forward-dataflow framework the admission checker's
+// analyses are built on. It factors the three parts every forward
+// analysis over VIR shares —
 //
 //   - a pluggable lattice (the state type S plus Entry/Clone/Join),
 //   - a transfer function (how one instruction moves the state),
 //   - the worklist fixpoint over the CFG,
 //
-// — so new analyses (mask availability, dominating CFI checks,
-// ROADMAP item 3's superinstruction discovery) are a transfer function
-// and a join, not a new solver. The per-instruction facts are exposed
-// by Replay, which streams the converged state through every block in
-// definition order: the visitor sees the exact in-fact of each
-// instruction without materializing O(instrs) state copies.
+// — so the masked-value analysis below and the application-side mmap
+// taint analysis (appcheck.go) are each a transfer function and a join,
+// not a solver. The per-instruction facts are exposed by Replay, which
+// streams the converged state through every block in definition order:
+// the visitor sees the exact in-fact of each instruction without
+// materializing O(instrs) state copies.
 
 // Analysis is one forward dataflow problem over a function. The state
 // S is mutated in place by Transfer, so slice- and map-backed states
@@ -39,9 +38,8 @@ type Analysis[S any] interface {
 
 // Facts is the converged result of running an Analysis: one in-state
 // per basic block, plus reachability. Blocks the fixpoint never
-// reached are replayed from the entry state — conservative in both
-// directions (diagnostics still fire in dead code, proofs there claim
-// no more than the entry state supports), since "dead" is only as
+// reached are replayed from the entry state — conservative, since
+// diagnostics still fire in dead code and "dead" is only as
 // trustworthy as the branch conditions around it.
 type Facts[S any] struct {
 	fn      *vir.Function

@@ -71,18 +71,11 @@ func NativeOptions() Options { return Options{} }
 type Translation struct {
 	Module    *vir.Module
 	Signature [32]byte
-	// CheckProofs holds the admission checker's per-function elision
-	// certificates (function name -> proofs), computed only for
-	// admitted code. The same certificates are attached to each
-	// Function.Proofs, which is where the pre-linked engine reads
-	// them; this map exists for reporting (vgbench BENCH output,
-	// kernel elision stats).
-	CheckProofs map[string]*vir.CheckProofs
-	entries     map[string]uint64
-	byAddr      map[uint64]*vir.Function
-	base, top   uint64
-	opts        Options
-	admitted    bool
+	entries   map[string]uint64
+	byAddr    map[uint64]*vir.Function
+	base, top uint64
+	opts      Options
+	admitted  bool
 }
 
 // CodeSpace hands out entry addresses and resolves them back to
@@ -183,28 +176,19 @@ func (t *Translator) Translate(m *vir.Module) (*Translation, error) {
 		CFIModule(code)
 	}
 	admitted := false
-	var proofs map[string]*vir.CheckProofs
 	if t.Opts.VerifyAdmission {
 		t.ChargeVerify(code)
 		if err := check.Verify(code, t.AdmissionConfig()); err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrNotAdmissible, err)
 		}
 		admitted = true
-		// Admission proved the invariants; the same dataflow machinery
-		// now proves which instrumentation sites are redundant, for
-		// link-time host-work elision. This is host-side analysis
-		// folded into the verification scan already charged above —
-		// the virtual clock is not touched, so every exported number
-		// stays bit-identical whether or not the engine elides.
-		proofs = check.ProveModule(code)
 	}
 	tr := &Translation{
-		Module:      code,
-		CheckProofs: proofs,
-		entries:     make(map[string]uint64),
-		byAddr:      make(map[uint64]*vir.Function),
-		opts:        t.Opts,
-		admitted:    admitted,
+		Module:   code,
+		entries:  make(map[string]uint64),
+		byAddr:   make(map[uint64]*vir.Function),
+		opts:     t.Opts,
+		admitted: admitted,
 	}
 	tr.base = t.Space.next
 	for _, f := range code.Funcs {
@@ -276,19 +260,6 @@ func (tr *Translation) Verify() bool {
 // Ghost protections.
 func (tr *Translation) Instrumented() bool {
 	return tr.opts.Sandbox && tr.opts.CFI
-}
-
-// ProofCounts sums the elision certificates across the translation:
-// how many maskghost and CFI indirect-call sites the admission checker
-// proved redundant. The kernel reads it through a type assertion so
-// the moduleTranslation interface stays minimal.
-func (tr *Translation) ProofCounts() (masks, cfis int) {
-	for _, p := range tr.CheckProofs {
-		m, c := p.Counts()
-		masks += m
-		cfis += c
-	}
-	return masks, cfis
 }
 
 // Admitted reports whether this translation may enter kernel code

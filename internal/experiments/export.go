@@ -138,7 +138,9 @@ type BenchEntry struct {
 // concurrent load: per-config peak_conns/requests/rps and
 // p50/p95/p99 virtual latency µs, adversary outcomes, and server-side
 // syn_drops/timeout_kills counters).
-const BenchSchemaVersion = 6
+// v7: removes the check_elision and superinstruction_fusion entries
+// (the engine no longer elides checks or fuses instructions).
+const BenchSchemaVersion = 7
 
 // BenchReport is the cross-PR perf trajectory record written by
 // `vgbench -json` as BENCH_<date>.json.

@@ -135,46 +135,30 @@ var demoRuns = []struct {
 
 // demoRows runs every demo routine under the given engine and returns
 // its rows: the routine's return value and the cycles its call charged.
-// On the linked engine each routine also runs with elision and fusion
-// switched off, and any difference between those configurations panics.
 func demoRows(engine kernel.EngineKind) map[string]goldenEntry {
-	type toggles struct{ elide, fuse bool }
-	configs := []toggles{{true, true}}
-	if engine == kernel.EngineLinked {
-		configs = append(configs, toggles{false, true}, toggles{true, false}, toggles{false, false})
-	}
 	got := make(map[string]goldenEntry)
 	for _, d := range demoRuns {
-		name := fmt.Sprintf("demo/vghost/%s", d.fn)
-		for i, c := range configs {
-			src, err := os.ReadFile(filepath.Join("testdata", d.file))
-			if err != nil {
-				panic(err)
-			}
-			m, err := vir.ParseModule(string(src))
-			if err != nil {
-				panic(err)
-			}
-			s := newSystem(repro.VirtualGhost)
-			k := s.Kernel
-			k.SetEngine(engine)
-			k.SetElision(c.elide)
-			k.SetFusion(c.fuse)
-			mod, err := k.LoadModule(m)
-			if err != nil {
-				panic(err)
-			}
-			c0 := s.Machine.Clock.Cycles()
-			ret, err := k.RunModuleFunc(mod, d.fn, d.args...)
-			if err != nil {
-				panic(err)
-			}
-			e := goldenEntry{Value: float64(ret), Cycles: s.Machine.Clock.Cycles() - c0}
-			if i > 0 && e != got[name] {
-				panic(fmt.Sprintf("%s: elide=%v fuse=%v gives %+v, want %+v", name, c.elide, c.fuse, e, got[name]))
-			}
-			got[name] = e
+		src, err := os.ReadFile(filepath.Join("testdata", d.file))
+		if err != nil {
+			panic(err)
 		}
+		m, err := vir.ParseModule(string(src))
+		if err != nil {
+			panic(err)
+		}
+		s := newSystem(repro.VirtualGhost)
+		k := s.Kernel
+		k.SetEngine(engine)
+		mod, err := k.LoadModule(m)
+		if err != nil {
+			panic(err)
+		}
+		c0 := s.Machine.Clock.Cycles()
+		ret, err := k.RunModuleFunc(mod, d.fn, d.args...)
+		if err != nil {
+			panic(err)
+		}
+		got["demo/vghost/"+d.fn] = goldenEntry{Value: float64(ret), Cycles: s.Machine.Clock.Cycles() - c0}
 	}
 	return got
 }

@@ -13,18 +13,10 @@ import (
 // them, so every command reports the same clear error.
 
 // ExecFlags carries the raw flag values as the user typed them.
-// ElideSet/FuseSet record whether the flag appeared on the command line
-// at all (flag.Visit in the commands) — needed to tell "defaulted" from
-// "explicitly requested", which decides whether a combination is
-// contradictory or merely redundant.
 type ExecFlags struct {
 	Engine   string // -engine: "linked" | "reference" (empty means default)
-	Elide    string // -elide: "on" | "off" (empty means default)
-	ElideSet bool   // -elide appeared explicitly
-	Fuse     string // -fuse: "on" | "off" (empty means default)
-	FuseSet  bool   // -fuse appeared explicitly
 	HostPar  bool   // -hostpar
-	CPUs     int    // -cpus (validated against -hostpar)
+	CPUs     int    // -cpus (must be at least 1; validated against -hostpar)
 	Snapshot string // -snapshot: "save=PATH" | "use=PATH" (empty means off)
 	Replay   bool   // -replay (needs -snapshot use= of a recorded image)
 }
@@ -40,8 +32,6 @@ const (
 // it as the package defaults picked up by subsequently booted kernels.
 type ExecConfig struct {
 	Engine  EngineKind
-	Elide   bool
-	Fuse    bool
 	HostPar bool
 	// SnapshotMode is SnapshotOff, SnapshotSave or SnapshotUse;
 	// SnapshotPath is the image path. For SnapshotUse the image file
@@ -58,14 +48,10 @@ type ExecConfig struct {
 // ResolveExecFlags validates the flag combination and resolves it to a
 // configuration. Rejected combinations:
 //
-//   - -elide or -fuse passed explicitly with -engine=reference: the
-//     reference interpreter has no optimizing linker, so the request
-//     cannot be honoured and silently ignoring it would misreport what
-//     was measured;
+//   - -cpus below 1: a machine needs at least one CPU;
 //   - -hostpar with -cpus <= 1: host-parallel phases need a multi-CPU
 //     machine;
-//   - malformed values (unknown engine names, -elide/-fuse values other
-//     than on/off).
+//   - unknown engine names.
 func ResolveExecFlags(f ExecFlags) (ExecConfig, error) {
 	var (
 		cfg ExecConfig
@@ -77,30 +63,10 @@ func ResolveExecFlags(f ExecFlags) (ExecConfig, error) {
 	if cfg.Engine, err = ParseEngine(f.Engine); err != nil {
 		return cfg, err
 	}
-	cfg.Elide = DefaultElision()
-	if f.Elide != "" {
-		if cfg.Elide, err = ParseElide(f.Elide); err != nil {
-			return cfg, err
-		}
+	if f.CPUs < 1 {
+		return cfg, fmt.Errorf("kernel: -cpus must be at least 1, got %d", f.CPUs)
 	}
-	cfg.Fuse = DefaultFusion()
-	if f.Fuse != "" {
-		if cfg.Fuse, err = ParseFuse(f.Fuse); err != nil {
-			return cfg, err
-		}
-	}
-	if cfg.Engine == EngineReference {
-		if f.ElideSet {
-			return cfg, fmt.Errorf("kernel: -elide only applies to the linked engine; drop -elide or use -engine=linked")
-		}
-		if f.FuseSet {
-			return cfg, fmt.Errorf("kernel: -fuse only applies to the linked engine; drop -fuse or use -engine=linked")
-		}
-		// Not requested, just defaulted: record the truth — the
-		// reference engine neither elides nor fuses.
-		cfg.Elide, cfg.Fuse = false, false
-	}
-	if f.HostPar && f.CPUs <= 1 {
+	if f.HostPar && f.CPUs == 1 {
 		return cfg, fmt.Errorf("kernel: -hostpar needs multi-CPU machines; pass -cpus > 1")
 	}
 	cfg.HostPar = f.HostPar
@@ -147,7 +113,5 @@ func resolveSnapshotFlags(f ExecFlags, cfg *ExecConfig) error {
 // subsequently booted kernels (SetDefaultEngine and friends).
 func (c ExecConfig) Apply() {
 	SetDefaultEngine(c.Engine)
-	SetDefaultElision(c.Elide)
-	SetDefaultFusion(c.Fuse)
 	SetDefaultHostParallel(c.HostPar)
 }

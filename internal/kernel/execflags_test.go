@@ -18,32 +18,22 @@ func TestResolveExecFlags(t *testing.T) {
 		{
 			name: "defaults",
 			in:   ExecFlags{CPUs: 1},
-			want: ExecConfig{Engine: EngineLinked, Elide: true, Fuse: true},
+			want: ExecConfig{Engine: EngineLinked},
 		},
 		{
-			name: "linked with everything off",
-			in:   ExecFlags{Engine: "linked", Elide: "off", ElideSet: true, Fuse: "off", FuseSet: true, CPUs: 1},
-			want: ExecConfig{Engine: EngineLinked, Elide: false, Fuse: false},
+			name: "explicit linked engine",
+			in:   ExecFlags{Engine: "linked", CPUs: 1},
+			want: ExecConfig{Engine: EngineLinked},
 		},
 		{
-			name: "reference with defaulted optimizers records them off",
-			in:   ExecFlags{Engine: "reference", Elide: "on", Fuse: "on", CPUs: 1},
-			want: ExecConfig{Engine: EngineReference, Elide: false, Fuse: false},
-		},
-		{
-			name:    "explicit -elide with reference engine",
-			in:      ExecFlags{Engine: "reference", Elide: "on", ElideSet: true, CPUs: 1},
-			wantErr: "-elide only applies to the linked engine",
-		},
-		{
-			name:    "explicit -fuse with reference engine",
-			in:      ExecFlags{Engine: "reference", Fuse: "off", FuseSet: true, CPUs: 1},
-			wantErr: "-fuse only applies to the linked engine",
+			name: "reference engine",
+			in:   ExecFlags{Engine: "reference", CPUs: 1},
+			want: ExecConfig{Engine: EngineReference},
 		},
 		{
 			name: "hostpar multi-cpu",
 			in:   ExecFlags{HostPar: true, CPUs: 4},
-			want: ExecConfig{Engine: EngineLinked, Elide: true, Fuse: true, HostPar: true},
+			want: ExecConfig{Engine: EngineLinked, HostPar: true},
 		},
 		{
 			name:    "hostpar single-cpu",
@@ -51,19 +41,24 @@ func TestResolveExecFlags(t *testing.T) {
 			wantErr: "-hostpar needs multi-CPU machines",
 		},
 		{
+			name:    "zero cpus",
+			in:      ExecFlags{CPUs: 0},
+			wantErr: "-cpus must be at least 1, got 0",
+		},
+		{
+			name:    "negative cpus",
+			in:      ExecFlags{CPUs: -3},
+			wantErr: "-cpus must be at least 1, got -3",
+		},
+		{
+			name:    "negative cpus with hostpar",
+			in:      ExecFlags{HostPar: true, CPUs: -2},
+			wantErr: "-cpus must be at least 1, got -2",
+		},
+		{
 			name:    "unknown engine",
 			in:      ExecFlags{Engine: "jit", CPUs: 1},
 			wantErr: "unknown engine",
-		},
-		{
-			name:    "malformed elide value",
-			in:      ExecFlags{Elide: "yes", ElideSet: true, CPUs: 1},
-			wantErr: "unknown elide setting",
-		},
-		{
-			name:    "malformed fuse value",
-			in:      ExecFlags{Fuse: "1", FuseSet: true, CPUs: 1},
-			wantErr: "unknown fuse setting",
 		},
 	}
 	for _, tc := range cases {
@@ -201,36 +196,34 @@ func TestResolveSnapshotFlags(t *testing.T) {
 func TestExecConfigApply(t *testing.T) {
 	orig := ExecConfig{
 		Engine:  SetDefaultEngine(EngineLinked),
-		Elide:   DefaultElision(),
-		Fuse:    DefaultFusion(),
 		HostPar: DefaultHostParallel(),
 	}
 	SetDefaultEngine(orig.Engine)
 	defer orig.Apply()
 
-	cfg := ExecConfig{Engine: EngineReference, Elide: false, Fuse: false, HostPar: false}
+	cfg := ExecConfig{Engine: EngineReference, HostPar: true}
 	cfg.Apply()
-	if DefaultElision() || DefaultFusion() || defaultEngine != EngineReference {
-		t.Errorf("Apply did not install defaults: elide=%v fuse=%v engine=%v",
-			DefaultElision(), DefaultFusion(), defaultEngine)
+	if defaultEngine != EngineReference || !DefaultHostParallel() {
+		t.Errorf("Apply did not install defaults: engine=%v hostpar=%v",
+			defaultEngine, DefaultHostParallel())
 	}
 }
 
-// TestKernelFusionStats boots a kernel and checks the fusion state is
-// visible through it: the core module's hot routines fuse sites, and
-// SetFusion(false) reports disabled.
+// TestKernelFusionStats checks the counters kept for the host-cost
+// benchmark read zero on a booted kernel that has run module code.
 func TestKernelFusionStats(t *testing.T) {
 	k := bootKernel(t, core.ModeVirtualGhost)
-	st := k.FusionStats()
-	if !st.Enabled {
-		t.Error("fusion not enabled on a default-booted kernel")
+	const buf = 0xffffff8000200000
+	if err := k.KMemset(buf, 0x5a, 256); err != nil {
+		t.Fatal(err)
 	}
-	if mf := k.ModuleFusion(); len(mf) > 0 && st.SitesFused == 0 {
-		t.Errorf("ModuleFusion reports %v but SitesFused is 0", mf)
+	if _, err := k.KChecksum(buf, 256); err != nil {
+		t.Fatal(err)
 	}
-	k.SetFusion(false)
-	if k.FusionStats().Enabled {
-		t.Error("SetFusion(false) still reports enabled")
+	if st := k.FusionStats(); st != (FusionStats{}) {
+		t.Errorf("FusionStats = %+v, want zero", st)
 	}
-	k.SetFusion(true)
+	if st := k.ElisionStats(); st != (ElisionStats{}) {
+		t.Errorf("ElisionStats = %+v, want zero", st)
+	}
 }

@@ -163,13 +163,6 @@ type Kernel struct {
 	refInterps map[vir.Env]*vir.Interp
 	modEnvs    map[hw.Frame]vir.Env
 
-	// moduleProofs records, per admitted module, how many mask/CFI
-	// instrumentation sites the admission checker proved redundant
-	// (see internal/compiler/check prove.go). The linked engine elides
-	// the host work of proven sites; the counts feed vgbench's BENCH
-	// elision report.
-	moduleProofs map[string]ProofCounts
-
 	// intrinsics is the kernel-service linkage table for module code,
 	// built once at boot (see modintr.go).
 	intrinsics map[string]IntrinsicHandler
@@ -258,166 +251,30 @@ func SetDefaultHostParallel(on bool) bool {
 // next Boot will use on a multi-CPU machine).
 func DefaultHostParallel() bool { return defaultHostParallel }
 
-// defaultElision is the proof-carrying check-elision setting new
-// kernels boot with. On by default: elision changes host work only —
-// every virtual number is bit-identical either way (the charges of a
-// proven-redundant site are still modeled).
-var defaultElision = true
-
-// SetDefaultElision changes whether subsequently booted kernels' linked
-// engines elide instrumentation sites the admission checker proved
-// redundant, and returns the previous default. cmd/vgrun and
-// cmd/vgbench use it to honour their -elide flag; off is the bisection
-// escape hatch when a host-speed regression needs to be attributed to
-// (or exonerated from) the optimizer.
-func SetDefaultElision(on bool) bool {
-	old := defaultElision
-	defaultElision = on
-	return old
-}
-
-// DefaultElision reports the current package default.
-func DefaultElision() bool { return defaultElision }
-
-// ParseElide converts a command-line -elide value ("on"|"off") to a
-// bool. A string flag rather than a bool one so misspellings are
-// refused loudly instead of silently defaulting.
-func ParseElide(s string) (bool, error) {
-	switch s {
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	}
-	return true, fmt.Errorf("kernel: unknown elide setting %q (want on or off)", s)
-}
-
-// SetElision switches this kernel's linked engine between eliding and
-// not eliding proven-redundant checks (flushing its linked-code cache).
-func (k *Kernel) SetElision(on bool) { k.engine.SetElide(on) }
-
-// defaultFusion is the superinstruction-fusion setting new kernels boot
-// with. On by default: like elision, fusion changes host work only —
-// fused charge lists are the exact concatenation of their constituents',
-// so every virtual number is bit-identical either way.
-var defaultFusion = true
-
-// SetDefaultFusion changes whether subsequently booted kernels' linked
-// engines fuse hot instruction idioms into superinstructions (and use
-// the monomorphic indirect-call inline caches), and returns the
-// previous default. cmd/vgrun and cmd/vgbench use it to honour their
-// -fuse flag; off is the bisection escape hatch, mirroring -elide.
-func SetDefaultFusion(on bool) bool {
-	old := defaultFusion
-	defaultFusion = on
-	return old
-}
-
-// DefaultFusion reports the current package default.
-func DefaultFusion() bool { return defaultFusion }
-
-// ParseFuse converts a command-line -fuse value ("on"|"off") to a bool.
-// A string flag rather than a bool one so misspellings are refused
-// loudly instead of silently defaulting.
-func ParseFuse(s string) (bool, error) {
-	switch s {
-	case "on":
-		return true, nil
-	case "off":
-		return false, nil
-	}
-	return true, fmt.Errorf("kernel: unknown fuse setting %q (want on or off)", s)
-}
-
-// SetFusion switches this kernel's linked engine between fusing and not
-// fusing hot idioms (flushing its linked-code cache).
-func (k *Kernel) SetFusion(on bool) { k.engine.SetFuse(on) }
-
-// FusionStats describes the kernel's superinstruction-fusion state:
-// whether the linked engine is fusing, how many idiom sites its linker
-// collapsed into superinstructions (cumulative over relinks), and the
-// monomorphic inline-cache hit/miss counts on indirect-call sites (all
-// zero when running the reference engine or -fuse=off).
+// FusionStats is kept only for the host-cost benchmark, which reads
+// these fields into its vir.* counters. The engine no longer fuses
+// instructions or caches indirect-call targets, so every field always
+// reads zero; the type goes when the benchmark drops those counters.
 type FusionStats struct {
-	Enabled    bool
 	SitesFused uint64
 	ICHits     uint64
 	ICMisses   uint64
 }
 
-// FusionStats reports the kernel's current fusion state.
-func (k *Kernel) FusionStats() FusionStats {
-	fs := k.engine.Fusion()
-	return FusionStats{
-		Enabled:    k.engine.Fuse(),
-		SitesFused: fs.SitesFused,
-		ICHits:     fs.ICHits,
-		ICMisses:   fs.ICMisses,
-	}
-}
+// FusionStats always returns zero counters (see the type).
+func (k *Kernel) FusionStats() FusionStats { return FusionStats{} }
 
-// ModuleFusion returns, per loaded module, how many superinstruction
-// sites the engine's linker fused in that module's functions (module
-// name -> sites, cumulative over relinks, zero-count modules omitted).
-// Functions are matched by name, so modules sharing a function name
-// share its tally.
-func (k *Kernel) ModuleFusion() map[string]uint64 {
-	sites := k.engine.FuseSites()
-	out := make(map[string]uint64)
-	for _, mod := range k.modules {
-		var n uint64
-		for _, fn := range mod.fnNames {
-			n += sites[fn]
-		}
-		if n > 0 {
-			out[mod.Name] = n
-		}
-	}
-	return out
-}
-
-// ProofCounts is the per-module tally of instrumentation sites the
-// admission checker proved redundant at translation time.
-type ProofCounts struct {
-	Masks int // maskghost sites provably already-masked on all paths
-	CFIs  int // cfi.callind sites dominated by an equivalent check
-}
-
-// ModuleProofs returns the per-module proof tallies for every module
-// admitted so far (module name -> counts, zero-count modules omitted).
-func (k *Kernel) ModuleProofs() map[string]ProofCounts {
-	out := make(map[string]ProofCounts, len(k.moduleProofs))
-	for name, c := range k.moduleProofs {
-		out[name] = c
-	}
-	return out
-}
-
-// ElisionStats describes the kernel's check-elision state: whether the
-// linked engine is eliding, how many sites translation proved
-// redundant across all admitted modules, and how many sites the
-// engine's linker actually lowered to elided forms (cumulative over
-// relinks; zero when running the reference engine or -elide=off).
+// ElisionStats is kept only for the host-cost benchmark, which reads
+// these fields into its vir.* counters. The engine no longer elides
+// checks, so every field always reads zero; the type goes when the
+// benchmark drops those counters.
 type ElisionStats struct {
-	Enabled     bool
-	MasksProven int
-	CFIProven   int
 	MasksElided uint64
 	CFIElided   uint64
 }
 
-// ElisionStats reports the kernel's current elision state.
-func (k *Kernel) ElisionStats() ElisionStats {
-	st := ElisionStats{Enabled: k.engine.Elide()}
-	for _, c := range k.moduleProofs {
-		st.MasksProven += c.Masks
-		st.CFIProven += c.CFIs
-	}
-	es := k.engine.Elision()
-	st.MasksElided = es.MasksElided
-	st.CFIElided = es.CFIElided
-	return st
-}
+// ElisionStats always returns zero counters (see the type).
+func (k *Kernel) ElisionStats() ElisionStats { return ElisionStats{} }
 
 // SetHostParallel switches this kernel between serial and host-parallel
 // user phases. It only has an effect on multi-CPU machines (single-CPU
@@ -482,10 +339,7 @@ func Boot(hal core.HAL) (*Kernel, error) {
 		engine:       vir.NewEngine(),
 		refInterps:   make(map[vir.Env]*vir.Interp),
 		modEnvs:      make(map[hw.Frame]vir.Env),
-		moduleProofs: make(map[string]ProofCounts),
 	}
-	k.engine.SetElide(defaultElision)
-	k.engine.SetFuse(defaultFusion)
 	k.cpus = make([]*cpuRun, k.M.NumCPUs())
 	for i := range k.cpus {
 		k.cpus[i] = &cpuRun{id: i}
@@ -652,10 +506,6 @@ type Module struct {
 	Name        string
 	Translation moduleTranslation
 	kernel      *Kernel
-	// fnNames lists the module's function names, recorded at load time
-	// so per-module fusion tallies (ModuleFusion) can be assembled from
-	// the engine's per-function counters.
-	fnNames []string
 	// irDigest is the SHA-256 of the module's canonical IR text,
 	// recorded at load time. The ordered (name, digest) list is the
 	// kernel's code-epoch identity: a snapshot taken on one kernel may
@@ -688,9 +538,6 @@ func (k *Kernel) LoadModule(m *vir.Module) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, fn := range m.Funcs {
-		mod.fnNames = append(mod.fnNames, fn.Name)
-	}
 	mod.irDigest = sha256.Sum256([]byte(vir.FormatModule(m)))
 	k.modules = append(k.modules, mod)
 	return mod, nil
@@ -706,15 +553,6 @@ func (k *Kernel) admitModule(name string, tr moduleTranslation) (*Module, error)
 	}
 	if !tr.Verify() {
 		return nil, fmt.Errorf("kernel: module %q refused: translation signature mismatch", name)
-	}
-	// Record elision-proof tallies when the translation carries them
-	// (a type assertion so moduleTranslation stays minimal and fake
-	// translations in tests need not implement it).
-	if pc, ok := tr.(interface{ ProofCounts() (int, int) }); ok {
-		masks, cfis := pc.ProofCounts()
-		if masks+cfis > 0 {
-			k.moduleProofs[name] = ProofCounts{Masks: masks, CFIs: cfis}
-		}
 	}
 	return &Module{Name: name, Translation: tr, kernel: k}, nil
 }

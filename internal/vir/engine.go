@@ -32,30 +32,6 @@ type Engine struct {
 	cache map[*Function]*linkedFn
 	epoch uint64
 
-	// elide enables proof-carrying check elision at link time: mask
-	// and CFI sites certified redundant by Function.Proofs lower to
-	// their host-cheap forms (charges unchanged). On by default;
-	// SetElide(false) is the bisection escape hatch.
-	elide bool
-	stats ElisionStats
-
-	// fuse enables the superinstruction fusion pass (fuse.go) and the
-	// monomorphic inline caches on indirect-call sites. On by default;
-	// SetFuse(false) is the bisection escape hatch, mirroring elide.
-	fuse   bool
-	fstats FusionStats
-	// fuseSites tallies fused superinstruction sites per function name
-	// (cumulative over lowerings; feeds the kernel's per-module fusion
-	// counts).
-	fuseSites map[string]uint64
-	// profile, when installed via SetProfile, guides the fusion policy
-	// by per-function execution counts; nil means the static loop
-	// heuristic decides. profCounts retains call counts harvested from
-	// lowerings discarded by cache flushes, so Profile() spans the
-	// engine's whole life.
-	profile    map[string]uint64
-	profCounts map[string]uint64
-
 	// arena backs register frames and call argument vectors as a
 	// stack; sp is the high-water bump pointer.
 	arena []uint64
@@ -65,119 +41,19 @@ type Engine struct {
 	active bool
 }
 
-// ElisionStats counts instrumentation sites the linker lowered to
-// their elided forms. Counts are cumulative over lowerings: relinking
-// after an epoch bump counts the sites again, mirroring the work the
-// linker actually did.
-type ElisionStats struct {
-	MasksElided uint64
-	CFIElided   uint64
-}
-
-// NewEngine creates an engine with the default step budget and both
-// optimizing tiers — proof-carrying elision and superinstruction
-// fusion — enabled.
+// NewEngine creates an engine with the default step budget.
 func NewEngine() *Engine {
 	return &Engine{
-		MaxSteps:   50_000_000,
-		cache:      make(map[*Function]*linkedFn),
-		elide:      true,
-		fuse:       true,
-		fuseSites:  make(map[string]uint64),
-		profCounts: make(map[string]uint64),
+		MaxSteps: 50_000_000,
+		cache:    make(map[*Function]*linkedFn),
 	}
 }
 
-// flushCache discards every cached lowering, first folding the
-// lowerings' call counts into the retained execution profile so
-// Profile() survives epoch bumps and mode flips.
-func (e *Engine) flushCache() {
-	for fn, lf := range e.cache {
-		if lf.calls > 0 {
-			e.profCounts[fn.Name] += lf.calls
-		}
-	}
-	clear(e.cache)
-}
-
-// ResetCaches discards every cached lowering without changing any
-// setting (call counts fold into the retained profile first). Snapshot
-// restore calls it: re-linking against the restored kernel is pure
-// host-side work the virtual clock never sees, so a deterministic cold
-// start is always safe and never stale.
-func (e *Engine) ResetCaches() { e.flushCache() }
-
-// SetElide switches proof-carrying check elision on or off. Toggling
-// flushes the linked-code cache so the setting applies to everything
-// executed afterwards.
-func (e *Engine) SetElide(on bool) {
-	if e.elide == on {
-		return
-	}
-	e.elide = on
-	e.flushCache()
-}
-
-// Elide reports whether proof-carrying elision is enabled.
-func (e *Engine) Elide() bool { return e.elide }
-
-// Elision returns the cumulative elision counters.
-func (e *Engine) Elision() ElisionStats { return e.stats }
-
-// SetFuse switches superinstruction fusion and the indirect-call inline
-// caches on or off. Toggling flushes the linked-code cache so the
-// setting applies to everything executed afterwards.
-func (e *Engine) SetFuse(on bool) {
-	if e.fuse == on {
-		return
-	}
-	e.fuse = on
-	e.flushCache()
-}
-
-// Fuse reports whether superinstruction fusion is enabled.
-func (e *Engine) Fuse() bool { return e.fuse }
-
-// Fusion returns the cumulative fusion counters: superinstruction
-// sites fused by the linker and inline-cache hits/misses.
-func (e *Engine) Fusion() FusionStats { return e.fstats }
-
-// FuseSites returns a copy of the per-function fused-site tallies
-// (function name -> superinstruction sites, cumulative over lowerings).
-func (e *Engine) FuseSites() map[string]uint64 {
-	out := make(map[string]uint64, len(e.fuseSites))
-	for name, n := range e.fuseSites {
-		out[name] = n
-	}
-	return out
-}
-
-// SetProfile installs (or, with nil, removes) an execution-count
-// profile guiding the fusion policy: functions at or above
-// FuseHotThreshold get the aggressive pass, everything else stays
-// unfused. The linked-code cache is flushed so the policy applies to
-// the next lowering of every function. A typical feedback loop harvests
-// Profile() from a run and installs it for the next.
-func (e *Engine) SetProfile(p map[string]uint64) {
-	e.profile = p
-	e.flushCache()
-}
-
-// Profile returns per-function execution counts observed by this
-// engine: frame entries per function name, including lowerings already
-// discarded by cache flushes.
-func (e *Engine) Profile() map[string]uint64 {
-	out := make(map[string]uint64, len(e.profCounts)+len(e.cache))
-	for name, n := range e.profCounts {
-		out[name] = n
-	}
-	for fn, lf := range e.cache {
-		if lf.calls > 0 {
-			out[fn.Name] += lf.calls
-		}
-	}
-	return out
-}
+// ResetCaches discards every cached lowering. Snapshot restore calls
+// it: re-linking against the restored kernel is pure host-side work the
+// virtual clock never sees, so a deterministic cold start is always
+// safe and never stale.
+func (e *Engine) ResetCaches() { clear(e.cache) }
 
 // Call runs fn with the given arguments against env and returns its
 // return value. A re-entrant Call (a host intrinsic invoking module
@@ -186,7 +62,7 @@ func (e *Engine) Profile() map[string]uint64 {
 func (e *Engine) Call(env Env, fn *Function, args ...uint64) (uint64, error) {
 	if ce, ok := env.(CodeEpochs); ok {
 		if ep := ce.CodeEpoch(); ep != e.epoch {
-			e.flushCache()
+			clear(e.cache)
 			e.epoch = ep
 		}
 	}
@@ -251,7 +127,6 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 	if len(args) != lf.fn.NParams {
 		return 0, fmt.Errorf("vir: %s wants %d args, got %d", lf.fn.Name, lf.fn.NParams, len(args))
 	}
-	lf.calls++ // execution-count profile (guides fusion; see Profile)
 	regs := e.carve(lf.fn.NRegs)
 	// Parameters overwrite the frame's head; only the remainder needs
 	// zeroing (the arena hands out dirty memory).
@@ -318,142 +193,11 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			}
 		case OpMaskGhost:
 			regs[in.dst] = MaskAddress(lval(regs, in.a))
-		case opMaskElided:
-			// Proven redundant: operand b already holds the masked
-			// value (charges unchanged, batched at the segment head).
-			regs[in.dst] = lval(regs, in.b)
 		case opFuncAddrImm:
 			regs[in.dst] = in.imm
 		case OpCFILabel:
 			// Charge batched at the segment head; a label has no
 			// data effect.
-
-		// --- Superinstructions (fuse.go). Charges and step weights
-		// were batched at the segment head exactly as the constituents'
-		// would have been; the handlers execute the idiom sequentially
-		// and step over the consumed gap slot. ---
-		case opFusedConstALU:
-			regs[in.dst] = in.imm
-			av, bv := lval(regs, in.a), lval(regs, in.b)
-			var v uint64
-			switch in.op2 {
-			case OpAdd:
-				v = av + bv
-			case OpSub:
-				v = av - bv
-			case OpMul:
-				v = av * bv
-			case OpAnd:
-				v = av & bv
-			case OpOr:
-				v = av | bv
-			case OpXor:
-				v = av ^ bv
-			case OpShl:
-				v = av << (bv & 63)
-			case OpShr:
-				v = av >> (bv & 63)
-			case OpCmpEQ:
-				v = b2u(av == bv)
-			case OpCmpNE:
-				v = b2u(av != bv)
-			case OpCmpLT:
-				v = b2u(av < bv)
-			case OpCmpGE:
-				v = b2u(av >= bv)
-			}
-			regs[in.t1] = v
-			pc++ // skip the gap
-
-		case opFusedCmpBr:
-			av, bv := lval(regs, in.a), lval(regs, in.b)
-			var c bool
-			switch in.op2 {
-			case OpCmpEQ:
-				c = av == bv
-			case OpCmpNE:
-				c = av != bv
-			case OpCmpLT:
-				c = av < bv
-			case OpCmpGE:
-				c = av >= bv
-			}
-			// The comparison result may be live past the branch.
-			regs[in.dst] = b2u(c)
-			if c {
-				pc = in.t1
-			} else {
-				pc = in.t2
-			}
-			continue
-
-		case opFusedAddBr:
-			regs[in.dst] = lval(regs, in.a) + lval(regs, in.b)
-			pc = in.t1
-			continue
-
-		case opFusedSubBr:
-			regs[in.dst] = lval(regs, in.a) - lval(regs, in.b)
-			pc = in.t1
-			continue
-
-		case opFusedMaskLoad:
-			m := MaskAddress(lval(regs, in.a))
-			regs[in.dst] = m
-			v, err := env.Load(hw.Virt(m), in.size)
-			if err != nil {
-				return 0, err
-			}
-			regs[in.t1] = v
-			pc++ // skip the gap
-
-		case opFusedMaskStore:
-			m := MaskAddress(lval(regs, in.a))
-			regs[in.dst] = m
-			if err := env.Store(hw.Virt(m), in.size, lval(regs, in.b)); err != nil {
-				return 0, err
-			}
-			pc++ // skip the gap
-
-		case opFusedCallRet:
-			asp := e.sp
-			argv := e.carve(len(in.args))
-			for i, a := range in.args {
-				argv[i] = lval(regs, a)
-			}
-			ret, err := e.exec(env, clk, in.callee, argv, depth+1)
-			e.sp = asp
-			if err != nil {
-				return 0, err
-			}
-			regs[in.dst] = ret
-			// The ret half: its step and charge come after the callee
-			// has run, exactly where the reference interpreter puts
-			// them (so a budget expiring inside the callee, or on the
-			// ret itself, lands on the same instruction with the same
-			// cycles).
-			e.steps++
-			if e.steps > e.MaxSteps {
-				return 0, ErrStepLimit
-			}
-			clk.Charge(hw.TagEngine, hw.CostCall)
-			if overridden {
-				target := retOverride
-				gadget, ok := env.FuncByAddr(target)
-				if !ok {
-					return 0, fmt.Errorf("vir: return pivots to non-code address %#x", target)
-				}
-				if gadget.NParams != 0 {
-					return 0, fmt.Errorf("vir: return pivot target %s expects arguments", gadget.Name)
-				}
-				return e.exec(env, clk, e.linked(env, gadget), nil, depth+1)
-			}
-			return lval(regs, in.a), nil
-
-		case opFusedGap:
-			// Unreachable by construction: gaps are never branch
-			// targets and fused handlers step over them.
-			return 0, fmt.Errorf("vir: internal error: executed fused gap in %s", lf.fn.Name)
 
 		case OpLoad:
 			v, err := env.Load(hw.Virt(lval(regs, in.a)), in.size)
@@ -517,36 +261,18 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 			overridden = true
 			regs[in.dst] = 0
 
-		case OpCallInd, OpCFICallInd, opCFICallIndElided:
+		case OpCallInd, OpCFICallInd:
 			target := lval(regs, in.a)
-			// opCFICallIndElided carries the same charges but skips
-			// the host-side check its dominating predecessor already
-			// performed on this exact value.
 			if in.op == OpCFICallInd {
 				if err := cfiCheck(env, lf.fn.Name, target); err != nil {
 					return 0, err
 				}
 			}
-			var clf *linkedFn
-			if e.fuse && in.icFn != nil && in.icTarget == target {
-				// Monomorphic inline-cache hit: the site calls the same
-				// target as last time, so skip the address resolution and
-				// the linked-cache lookup. The cache lives inside this
-				// lowering's code array, so an epoch bump (which flushes
-				// the lowering itself) can never leave it stale.
-				clf = in.icFn
-				e.fstats.ICHits++
-			} else {
-				callee, ok := env.FuncByAddr(target)
-				if !ok {
-					return 0, fmt.Errorf("vir: indirect call in %s to non-code address %#x", lf.fn.Name, target)
-				}
-				clf = e.linked(env, callee)
-				if e.fuse {
-					in.icTarget, in.icFn = target, clf
-					e.fstats.ICMisses++
-				}
+			callee, ok := env.FuncByAddr(target)
+			if !ok {
+				return 0, fmt.Errorf("vir: indirect call in %s to non-code address %#x", lf.fn.Name, target)
 			}
+			clf := e.linked(env, callee)
 			asp := e.sp
 			argv := e.carve(len(in.args))
 			for i, a := range in.args {
@@ -617,39 +343,16 @@ func (e *Engine) run(env Env, clk *hw.Clock, lf *linkedFn, args []uint64, depth 
 // stepLimit is the exact slow path for a budget expiring inside a
 // segment: the reference interpreter executes (and charges) each
 // instruction until the step counter crosses MaxSteps, so replay the
-// remaining budget per instruction. Only non-final logical steps of a
-// segment can be involved, and those are pure by construction — fused
-// sites expand back into their constituents through the fusion table
-// (linkedInstr.fused), gap slots weigh nothing and are skipped, and a
-// segment-final impure constituent (a fused pair's load/store/branch
-// half, or a call+ret's call) is past the replayable range because
-// nExec is strictly below the segment's step weight.
+// remaining budget per instruction. Only non-final instructions of a
+// segment can be involved, and those are pure by construction.
 func (e *Engine) stepLimit(clk *hw.Clock, regs []uint64, code []linkedInstr, pc, segLen int) error {
 	nExec := e.MaxSteps - (e.steps - segLen)
-	for i := pc; nExec > 0; i++ {
+	for i := pc; i < pc+nExec; i++ {
 		in := &code[i]
-		if in.op == opFusedGap {
-			continue
-		}
-		if len(in.fused) > 0 {
-			for j := range in.fused {
-				if nExec == 0 {
-					break
-				}
-				c := &in.fused[j]
-				for _, tc := range c.charges {
-					clk.Charge(tc.tag, tc.n)
-				}
-				pureEval(regs, c)
-				nExec--
-			}
-			continue
-		}
 		for _, tc := range in.charges {
 			clk.Charge(tc.tag, tc.n)
 		}
 		pureEval(regs, in)
-		nExec--
 	}
 	return ErrStepLimit
 }
@@ -695,8 +398,6 @@ func pureEval(regs []uint64, in *linkedInstr) {
 		}
 	case OpMaskGhost:
 		regs[in.dst] = MaskAddress(lval(regs, in.a))
-	case opMaskElided:
-		regs[in.dst] = lval(regs, in.b)
 	case opFuncAddrImm:
 		regs[in.dst] = in.imm
 	case OpCFILabel:

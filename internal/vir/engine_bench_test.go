@@ -79,9 +79,7 @@ func TestEngineTracingDisabledZeroAlloc(t *testing.T) {
 }
 
 // benchMaskSource is a mask-heavy loop: three memory ops per iteration
-// through the same pointer, so two of the three maskghost sites are
-// provably redundant — the shape the check prover certifies for
-// link-time elision.
+// through the same pointer, each masked again.
 const benchMaskSource = `module bm
 func hot(2 params) {
 entry:
@@ -105,43 +103,19 @@ done:
 }
 `
 
-// benchMaskFn parses the mask-heavy loop and attaches the elision
-// certificate by hand — exactly what check.ProveFunction emits for
-// this code (the check package sits above vir and cannot be imported
-// here; prove_test.go in that package pins the equivalence).
-func benchMaskFn(b *testing.B) (*memEnv, *Function) {
-	b.Helper()
+// BenchmarkEngineMaskLoop measures the linked engine on the mask-heavy
+// loop.
+func BenchmarkEngineMaskLoop(b *testing.B) {
 	m, err := ParseModule(benchMaskSource)
 	if err != nil {
 		b.Fatal(err)
 	}
 	fn := m.Funcs[0]
-	proofs := &CheckProofs{}
-	proofs.AddMask("body", 2, 4)
-	proofs.AddMask("body", 4, 4)
-	fn.Proofs = proofs
 	env := newMemEnv()
 	env.addFunc(fn)
-	return env, fn
-}
-
-// BenchmarkEngineMaskLoopElide measures the linked engine on the
-// mask-heavy loop with proof-carrying elision on; compare with
-// BenchmarkEngineMaskLoopNoElide for the same code with the proofs
-// ignored. Virtual cycles are identical in both (the elided lowering
-// keeps the modeled charges); only host work differs.
-func BenchmarkEngineMaskLoopElide(b *testing.B)   { benchMaskLoop(b, true) }
-func BenchmarkEngineMaskLoopNoElide(b *testing.B) { benchMaskLoop(b, false) }
-
-func benchMaskLoop(b *testing.B, elide bool) {
-	env, fn := benchMaskFn(b)
 	eng := NewEngine()
-	eng.SetElide(elide)
 	if _, err := eng.Call(env, fn, 0x2000, 1000); err != nil {
 		b.Fatal(err)
-	}
-	if st := eng.Elision(); elide && st.MasksElided == 0 {
-		b.Fatal("elision enabled but nothing elided")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -153,10 +127,8 @@ func benchMaskLoop(b *testing.B, elide bool) {
 }
 
 // benchCFISource hammers indirect calls through an unchanged target
-// register: three of the four cfi.callind checks per iteration are
-// dominated by the first. Eliding a CFI check saves real host work
-// (a range check plus a map lookup plus a flag test), unlike a mask —
-// this is where proof-carrying elision pays.
+// register: four cfi.callind checks per iteration, each a range check,
+// a map lookup and a flag test on the host.
 const benchCFISource = `module bc
 func leaf(1 params) {
 entry:
@@ -183,14 +155,9 @@ done:
 }
 `
 
-// BenchmarkEngineCFILoopElide / NoElide: the linked engine on the
-// indirect-call loop with the dominance certificate honoured vs
-// ignored. Virtual cycles are identical; only the host-side re-checks
-// disappear.
-func BenchmarkEngineCFILoopElide(b *testing.B)   { benchCFILoop(b, true) }
-func BenchmarkEngineCFILoopNoElide(b *testing.B) { benchCFILoop(b, false) }
-
-func benchCFILoop(b *testing.B, elide bool) {
+// BenchmarkEngineCFILoop measures the linked engine on the
+// indirect-call loop, every call CFI-checked.
+func BenchmarkEngineCFILoop(b *testing.B) {
 	m, err := ParseModule(benchCFISource)
 	if err != nil {
 		b.Fatal(err)
@@ -204,145 +171,9 @@ func benchCFILoop(b *testing.B, elide bool) {
 			fn = g
 		}
 	}
-	proofs := &CheckProofs{}
-	proofs.AddCFIDominated("body", 1)
-	proofs.AddCFIDominated("body", 2)
-	proofs.AddCFIDominated("body", 3)
-	fn.Proofs = proofs
-
 	eng := NewEngine()
-	eng.SetElide(elide)
 	if _, err := eng.Call(env, fn, 1000); err != nil {
 		b.Fatal(err)
-	}
-	if st := eng.Elision(); elide && st.CFIElided == 0 {
-		b.Fatal("elision enabled but nothing elided")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Call(env, fn, 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchFuseSource is a checksum-style loop built entirely of fusable
-// idioms: per iteration a cmp+condbr head, four const+ALU pairs, and an
-// add+br back-edge — every dispatch collapses into a superinstruction
-// when fusion is on (the BenchmarkEngineKChecksum-class shape; the
-// mask-pair win rides the MaskLoop benchmarks above, the inline-cache
-// win the ICLoop pair below).
-const benchFuseSource = `module bf
-func hot(2 params) {
-entry:
-  %r2 = mov 0x0
-  br loop
-loop:
-  %r3 = cmplt %r2, %r1
-  condbr %r3, body, done
-body:
-  %r4 = const 0x9e37
-  %r5 = xor %r2, %r4
-  %r6 = const 0x1f
-  %r7 = mul %r5, %r6
-  %r8 = const 0x7
-  %r9 = shr %r7, %r8
-  %r10 = const 0x3
-  %r11 = add %r9, %r10
-  %r2 = add %r2, 0x1
-  br loop
-done:
-  ret %r2
-}
-`
-
-// BenchmarkEngineLoopFuse / NoFuse: the linked engine on the fusable
-// loop with the superinstruction pass on vs off. Virtual cycles are
-// identical in both (fused charges are the concatenation of the
-// constituents'); only dispatch count differs.
-func BenchmarkEngineLoopFuse(b *testing.B)   { benchFuseLoop(b, true) }
-func BenchmarkEngineLoopNoFuse(b *testing.B) { benchFuseLoop(b, false) }
-
-func benchFuseLoop(b *testing.B, fuse bool) {
-	m, err := ParseModule(benchFuseSource)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := newMemEnv()
-	fn := m.Funcs[0]
-	env.addFunc(fn)
-	eng := NewEngine()
-	eng.SetFuse(fuse)
-	if _, err := eng.Call(env, fn, 0x2000, 1000); err != nil {
-		b.Fatal(err)
-	}
-	if st := eng.Fusion(); fuse && st.SitesFused == 0 {
-		b.Fatal("fusion enabled but nothing fused")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Call(env, fn, 0x2000, 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchICSource hammers one indirect-call site with a monomorphic
-// target: with fusion on, every iteration after the first hits the
-// inline cache and skips the address resolution and linked-code lookup.
-const benchICSource = `module bi
-func leaf(1 params) {
-entry:
-  ret %r0
-}
-func hot(1 params) {
-entry:
-  %r1 = funcaddr leaf
-  %r2 = mov 0x0
-  br loop
-loop:
-  %r3 = cmplt %r2, %r0
-  condbr %r3, body, done
-body:
-  %r4 = callind %r1(%r2)
-  %r5 = callind %r1(%r4)
-  %r6 = callind %r1(%r5)
-  %r7 = callind %r1(%r6)
-  %r8 = add %r2, 0x1
-  %r2 = mov %r8
-  br loop
-done:
-  ret 0x0
-}
-`
-
-// BenchmarkEngineICLoopFuse / NoFuse: the indirect-call loop with the
-// monomorphic inline caches on vs off.
-func BenchmarkEngineICLoopFuse(b *testing.B)   { benchICLoop(b, true) }
-func BenchmarkEngineICLoopNoFuse(b *testing.B) { benchICLoop(b, false) }
-
-func benchICLoop(b *testing.B, fuse bool) {
-	m, err := ParseModule(benchICSource)
-	if err != nil {
-		b.Fatal(err)
-	}
-	env := newMemEnv()
-	var fn *Function
-	for _, g := range m.Funcs {
-		env.addFunc(g)
-		if g.Name == "hot" {
-			fn = g
-		}
-	}
-	eng := NewEngine()
-	eng.SetFuse(fuse)
-	if _, err := eng.Call(env, fn, 1000); err != nil {
-		b.Fatal(err)
-	}
-	if st := eng.Fusion(); fuse && st.ICHits == 0 {
-		b.Fatal("fusion enabled but the inline cache never hit")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

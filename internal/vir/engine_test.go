@@ -45,9 +45,9 @@ func outcome(ret uint64, err error, env *memEnv) diffOutcome {
 }
 
 // runDiff executes the function produced by setup under the reference
-// interpreter and the linked engine both with and without fusion (each
-// against its own fresh env) and fails the test unless every observable
-// matches across all three. It returns the common outcome.
+// interpreter and the linked engine (each against its own fresh env)
+// and fails the test unless every observable matches. It returns the
+// common outcome.
 func runDiff(t *testing.T, maxSteps int, setup func(env *memEnv) (*Function, []uint64)) diffOutcome {
 	t.Helper()
 
@@ -60,37 +60,33 @@ func runDiff(t *testing.T, maxSteps int, setup func(env *memEnv) (*Function, []u
 	rv, rerr := ip.Call(fn, args...)
 	ref := outcome(rv, rerr, refEnv)
 
-	for _, fuse := range []bool{true, false} {
-		engEnv := newMemEnv()
-		fn2, args2 := setup(engEnv)
-		eng := NewEngine()
-		eng.SetFuse(fuse)
-		if maxSteps > 0 {
-			eng.MaxSteps = maxSteps
-		}
-		ev, eerr := eng.Call(engEnv, fn2, args2...)
-		got := outcome(ev, eerr, engEnv)
-		tag := map[bool]string{true: "engine(fuse)", false: "engine(nofuse)"}[fuse]
+	engEnv := newMemEnv()
+	fn2, args2 := setup(engEnv)
+	eng := NewEngine()
+	if maxSteps > 0 {
+		eng.MaxSteps = maxSteps
+	}
+	ev, eerr := eng.Call(engEnv, fn2, args2...)
+	got := outcome(ev, eerr, engEnv)
 
-		if got.ret != ref.ret {
-			t.Errorf("%s return mismatch: %#x, reference %#x", tag, got.ret, ref.ret)
-		}
-		if got.errStr != ref.errStr {
-			t.Errorf("%s error mismatch:\n  engine:    %q\n  reference: %q", tag, got.errStr, ref.errStr)
-		}
-		if got.cycles != ref.cycles {
-			t.Errorf("%s clock mismatch: %d cycles, reference %d", tag, got.cycles, ref.cycles)
-		}
-		if !reflect.DeepEqual(got.mem, ref.mem) {
-			t.Errorf("%s memory state mismatch: %v, reference %v", tag, got.mem, ref.mem)
-		}
-		if !reflect.DeepEqual(got.ports, ref.ports) {
-			t.Errorf("%s port state mismatch: %v, reference %v", tag, got.ports, ref.ports)
-		}
-		// The step-limit error must keep its identity, not just its text.
-		if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
-			t.Errorf("%s ErrStepLimit identity mismatch: %v, reference %v", tag, eerr, rerr)
-		}
+	if got.ret != ref.ret {
+		t.Errorf("return mismatch: engine %#x, reference %#x", got.ret, ref.ret)
+	}
+	if got.errStr != ref.errStr {
+		t.Errorf("error mismatch:\n  engine:    %q\n  reference: %q", got.errStr, ref.errStr)
+	}
+	if got.cycles != ref.cycles {
+		t.Errorf("clock mismatch: engine %d cycles, reference %d", got.cycles, ref.cycles)
+	}
+	if !reflect.DeepEqual(got.mem, ref.mem) {
+		t.Errorf("memory state mismatch: engine %v, reference %v", got.mem, ref.mem)
+	}
+	if !reflect.DeepEqual(got.ports, ref.ports) {
+		t.Errorf("port state mismatch: engine %v, reference %v", got.ports, ref.ports)
+	}
+	// The step-limit error must keep its identity, not just its text.
+	if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
+		t.Errorf("ErrStepLimit identity mismatch: engine %v, reference %v", eerr, rerr)
 	}
 	return ref
 }
@@ -648,6 +644,7 @@ func TestEngineDiffCorpus(t *testing.T) {
 						// Fresh clone per env so any flag mutation
 						// stays private.
 						mc := m.Clone()
+						labelEntries(mc)
 						for _, f := range mc.Funcs {
 							env.addFunc(f)
 						}
@@ -657,6 +654,18 @@ func TestEngineDiffCorpus(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// labelEntries sets the Labeled flag on every function whose entry
+// block opens with a cfi.label, as the translator would. Parsed text
+// does not carry the flag, and without it every checked indirect call
+// stops at the CFI check, so the code behind it would never run.
+func labelEntries(m *Module) {
+	for _, f := range m.Funcs {
+		if e := f.Entry(); e != nil && len(e.Instrs) > 0 && e.Instrs[0].Op == OpCFILabel {
+			f.Labeled = true
+		}
 	}
 }
 
@@ -689,14 +698,11 @@ func FuzzEngineDifferential(f *testing.F) {
 		"module io\nfunc drv(0 params) {\nentry:\n  %r0 = portin 0x60\n  portout 0x61, %r0\n  %r1 = funcaddr drv\n  %r2 = callind %r1(%r0)\n  ret %r2\n}\n",
 		"module c\nfunc rec(1 params) {\nentry:\n  %r1 = call rec(%r0)\n  ret %r1\n}\n",
 		"module s\nfunc spin(0 params) {\nentry:\n  br entry\n}\n",
-		// Redundant re-masks and a dominated indirect re-check: the
-		// shapes the check prover elides (fuzzed here with Proofs nil,
-		// i.e. the plain lowering; check's FuzzElisionDifferential
-		// covers the elided lowering).
+		// Redundant re-masks and a repeated indirect call through one
+		// checked register.
 		"module r\nfunc h(1 params) {\nentry:\n  cfi.label 0xcf1\n  %r1 = maskghost %r0\n  store8 [%r1], 0x1\n  %r2 = maskghost %r0\n  %r3 = load8 [%r2]\n  %r4 = funcaddr h2\n  %r5 = cfi.callind %r4(%r3)\n  %r6 = cfi.callind %r4(%r5)\n  cfi.ret %r6\n}\nfunc h2(1 params) {\nentry:\n  cfi.label 0xcf1\n  cfi.ret %r0\n}\n",
-		// Fusable idioms in a hot (back-edged) function: cmp+condbr,
-		// add+br back-edge, const+ALU, and the call+ret pair — the
-		// shapes the superinstruction pass collapses (fuse.go).
+		// A counted loop: cmp+condbr head, const+ALU body, add+br
+		// back-edge, and a call+ret tail.
 		"module fu\nfunc leaf(1 params) {\nentry:\n  %r1 = add %r0, 0x1\n  ret %r1\n}\nfunc hot(1 params) {\nentry:\n  %r1 = const 0x0\n  br head\nhead:\n  %r2 = cmplt %r1, %r0\n  condbr %r2, body, done\nbody:\n  %r3 = const 0x3\n  %r4 = mul %r1, %r3\n  %r1 = add %r1, 0x1\n  br head\ndone:\n  %r5 = call leaf(%r1)\n  ret %r5\n}\n",
 		// Mask+load and mask+store pairs inside a loop.
 		"module fm\nfunc mem(1 params) {\nentry:\n  %r1 = const 0x0\n  br head\nhead:\n  %r2 = cmplt %r1, 0x4\n  condbr %r2, body, done\nbody:\n  %r3 = maskghost %r0\n  store8 [%r3], %r1\n  %r4 = maskghost %r0\n  %r5 = load8 [%r4]\n  %r1 = add %r5, 0x1\n  br head\ndone:\n  ret %r1\n}\n",
@@ -716,9 +722,10 @@ func FuzzEngineDifferential(f *testing.F) {
 			fn := fn
 			args := []uint64{0x2000, 5}[:fn.NParams]
 
-			runFuzz := func(engine string) (diffOutcome, error) {
+			runFuzz := func(reference bool) (diffOutcome, error) {
 				env := newMemEnv()
 				mc := m.Clone()
+				labelEntries(mc)
 				for _, g := range mc.Funcs {
 					env.addFunc(g)
 				}
@@ -728,32 +735,294 @@ func FuzzEngineDifferential(f *testing.F) {
 					ret  uint64
 					rerr error
 				)
-				if engine == "reference" {
+				if reference {
 					ip := NewInterp(env)
 					ip.MaxSteps = 20_000
 					ret, rerr = ip.Call(target, args...)
 				} else {
 					eng := NewEngine()
-					eng.SetFuse(engine != "linked-nofuse")
 					eng.MaxSteps = 20_000
 					ret, rerr = eng.Call(env, target, args...)
 				}
 				return outcome(ret, rerr, env), rerr
 			}
-			ref, rerr := runFuzz("reference")
-			for _, engine := range []string{"linked", "linked-nofuse"} {
-				got, eerr := runFuzz(engine)
-				if got.ret != ref.ret || got.errStr != ref.errStr || got.cycles != ref.cycles {
-					t.Fatalf("engines diverge on %s (%s):\n  reference: ret=%#x err=%q cycles=%d\n  linked:    ret=%#x err=%q cycles=%d\nmodule:\n%s",
-						fn.Name, engine, ref.ret, ref.errStr, ref.cycles, got.ret, got.errStr, got.cycles, text)
-				}
-				if !reflect.DeepEqual(got.mem, ref.mem) || !reflect.DeepEqual(got.ports, ref.ports) {
-					t.Fatalf("engines diverge on %s (%s) state\nmodule:\n%s", fn.Name, engine, text)
-				}
-				if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
-					t.Fatalf("ErrStepLimit identity diverges on %s (%s)\nmodule:\n%s", fn.Name, engine, text)
-				}
+			ref, rerr := runFuzz(true)
+			got, eerr := runFuzz(false)
+			if got.ret != ref.ret || got.errStr != ref.errStr || got.cycles != ref.cycles {
+				t.Fatalf("engines diverge on %s:\n  reference: ret=%#x err=%q cycles=%d\n  linked:    ret=%#x err=%q cycles=%d\nmodule:\n%s",
+					fn.Name, ref.ret, ref.errStr, ref.cycles, got.ret, got.errStr, got.cycles, text)
+			}
+			if !reflect.DeepEqual(got.mem, ref.mem) || !reflect.DeepEqual(got.ports, ref.ports) {
+				t.Fatalf("engines diverge on %s state\nmodule:\n%s", fn.Name, text)
+			}
+			if errors.Is(rerr, ErrStepLimit) != errors.Is(eerr, ErrStepLimit) {
+				t.Fatalf("ErrStepLimit identity diverges on %s\nmodule:\n%s", fn.Name, text)
 			}
 		}
+	})
+}
+
+// idiomLoopSource is a counted loop whose body masks one pointer twice
+// around a store and a load, with a const+mul pair, an add+br back-edge
+// and a call+ret tail: segments that end on an Env access, a branch
+// and a call all occur in one function.
+const idiomLoopSource = `module idioms
+func leaf(1 params) {
+entry:
+  %r1 = add %r0, 0x1
+  ret %r1
+}
+func hot(1 params) {
+entry:
+  %r1 = const 0x0
+  br head
+head:
+  %r2 = cmplt %r1, %r0
+  condbr %r2, body, done
+body:
+  %r3 = const 0x3
+  %r4 = mul %r1, %r3
+  %r5 = maskghost %r0
+  store8 [%r5], %r4
+  %r6 = maskghost %r0
+  %r7 = load8 [%r6]
+  %r1 = add %r1, 0x1
+  br head
+done:
+  %r8 = call leaf(%r1)
+  ret %r8
+}
+`
+
+func addParsedModule(t testing.TB, env *memEnv, source, main string) *Function {
+	t.Helper()
+	m, err := ParseModule(source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fn *Function
+	for _, g := range m.Funcs {
+		env.addFunc(g)
+		if g.Name == main {
+			fn = g
+		}
+	}
+	if fn == nil {
+		t.Fatalf("function %q not in module", main)
+	}
+	return fn
+}
+
+// TestEngineDiffIdiomLoop runs idiomLoopSource to completion under both
+// engines.
+func TestEngineDiffIdiomLoop(t *testing.T) {
+	o := runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
+		return addParsedModule(t, env, idiomLoopSource, "hot"), []uint64{5}
+	})
+	if o.errStr != "" {
+		t.Fatalf("unexpected error: %q", o.errStr)
+	}
+}
+
+// TestStepLimitExactCycles checks the step-limit slow path inside one
+// segment: a straight-line function of five 1-cycle ALU steps and a
+// 4-cycle ret. For every budget m that expires mid-segment both engines
+// must charge exactly m cycles; with the budget sufficient, exactly the
+// full 5*CostALU + CostCall.
+func TestStepLimitExactCycles(t *testing.T) {
+	build := func() *Function {
+		return &Function{Name: "sl", NParams: 0, NRegs: 5, Blocks: []*Block{
+			{Name: "entry", Instrs: []Instr{
+				{Op: OpConst, Dst: 0, Imm: 1},
+				{Op: OpConst, Dst: 1, Imm: 2},
+				{Op: OpAdd, Dst: 2, A: R(0), B: R(1)},
+				{Op: OpConst, Dst: 3, Imm: 4},
+				{Op: OpMul, Dst: 4, A: R(2), B: R(3)},
+				{Op: OpRet, A: R(4)},
+			}},
+		}}
+	}
+	const fullCycles = 5*hw.CostALU + hw.CostCall
+
+	for m := 1; m <= 8; m++ {
+		refEnv := newMemEnv()
+		refFn := build()
+		refEnv.addFunc(refFn)
+		ip := NewInterp(refEnv)
+		ip.MaxSteps = m
+		rv, rerr := ip.Call(refFn)
+
+		engEnv := newMemEnv()
+		engFn := build()
+		engEnv.addFunc(engFn)
+		eng := NewEngine()
+		eng.MaxSteps = m
+		ev, eerr := eng.Call(engEnv, engFn)
+
+		if m < 6 {
+			want := uint64(m) * hw.CostALU
+			if !errors.Is(rerr, ErrStepLimit) || !errors.Is(eerr, ErrStepLimit) {
+				t.Fatalf("m=%d: want ErrStepLimit from both, got ref=%v eng=%v", m, rerr, eerr)
+			}
+			if refEnv.clock.Cycles() != want || engEnv.clock.Cycles() != want {
+				t.Errorf("m=%d: cycles ref=%d eng=%d, want exactly %d",
+					m, refEnv.clock.Cycles(), engEnv.clock.Cycles(), want)
+			}
+		} else {
+			if rerr != nil || eerr != nil {
+				t.Fatalf("m=%d: unexpected errors ref=%v eng=%v", m, rerr, eerr)
+			}
+			if rv != 12 || ev != 12 {
+				t.Errorf("m=%d: ret ref=%d eng=%d, want 12", m, rv, ev)
+			}
+			if refEnv.clock.Cycles() != fullCycles || engEnv.clock.Cycles() != fullCycles {
+				t.Errorf("m=%d: cycles ref=%d eng=%d, want exactly %d",
+					m, refEnv.clock.Cycles(), engEnv.clock.Cycles(), fullCycles)
+			}
+		}
+	}
+}
+
+// TestEngineDiffStepLimitSweep sweeps the step budget across
+// idiomLoopSource, forcing expiry at every offset of every segment.
+func TestEngineDiffStepLimitSweep(t *testing.T) {
+	for maxSteps := 1; maxSteps <= 60; maxSteps++ {
+		o := runDiff(t, maxSteps, func(env *memEnv) (*Function, []uint64) {
+			return addParsedModule(t, env, idiomLoopSource, "hot"), []uint64{1 << 40}
+		})
+		if o.errStr != ErrStepLimit.Error() {
+			t.Fatalf("MaxSteps=%d: want step limit, got %q", maxSteps, o.errStr)
+		}
+	}
+}
+
+// TestEngineDiffPolymorphicIndirectCall drives one indirect-call site
+// with an alternating target: every call must dispatch to the current
+// target.
+func TestEngineDiffPolymorphicIndirectCall(t *testing.T) {
+	o := runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
+		a := NewFunction("incA", 1)
+		a.Ret(a.Add(a.Param(0), Imm(1)))
+		addrA := env.addFunc(a.Fn())
+		bfn := NewFunction("incB", 1)
+		bfn.Ret(bfn.Add(bfn.Param(0), Imm(100)))
+		addrB := env.addFunc(bfn.Fn())
+
+		b := NewFunction("poly", 3)
+		n := b.Param(0)
+		i := b.Mov(Imm(0))
+		acc := b.Mov(Imm(0))
+		b.Br("loop")
+		b.NewBlock("loop")
+		c := b.CmpLT(i, n)
+		b.CondBr(c, "body", "done")
+		b.NewBlock("body")
+		odd := b.And(i, Imm(1))
+		fp := b.Select(odd, b.Param(1), b.Param(2))
+		b.Assign(acc, b.CallInd(fp, acc))
+		b.Assign(i, b.Add(i, Imm(1)))
+		b.Br("loop")
+		b.NewBlock("done")
+		b.Ret(acc)
+		env.addFunc(b.Fn())
+		return b.Fn(), []uint64{10, addrA, addrB}
+	})
+	// 5 calls through incA (+1) and 5 through incB (+100).
+	if o.ret != 5*1+5*100 {
+		t.Errorf("poly = %d, want 505", o.ret)
+	}
+}
+
+// TestEngineDiffCallRetErrorPaths covers a call immediately followed
+// by ret: the callee erroring, the budget expiring inside the callee or
+// exactly on the ret, and a corrupt-return pivot taken by that ret.
+func TestEngineDiffCallRetErrorPaths(t *testing.T) {
+	// The callee loops n times, so step budgets can land anywhere
+	// inside it.
+	const src = `module cr
+func spin(1 params) {
+entry:
+  %r1 = const 0x0
+  br head
+head:
+  %r2 = cmplt %r1, %r0
+  condbr %r2, body, done
+body:
+  %r1 = add %r1, 0x1
+  br head
+done:
+  ret %r1
+}
+func hot(1 params) {
+entry:
+  %r1 = const 0x0
+  br head
+head:
+  %r2 = cmplt %r1, 0x2
+  condbr %r2, body, done
+body:
+  %r1 = add %r1, 0x1
+  br head
+done:
+  %r3 = call spin(%r0)
+  ret %r3
+}
+`
+	for maxSteps := 1; maxSteps <= 50; maxSteps++ {
+		runDiff(t, maxSteps, func(env *memEnv) (*Function, []uint64) {
+			return addParsedModule(t, env, src, "hot"), []uint64{6}
+		})
+	}
+	// Callee errors: the ret must not run.
+	runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
+		const errSrc = `module cre
+func boom(1 params) {
+entry:
+  %r1 = callind %r0()
+  ret %r1
+}
+func hot(1 params) {
+entry:
+  %r1 = const 0x0
+  br head
+head:
+  %r2 = cmplt %r1, 0x2
+  condbr %r2, body, done
+body:
+  %r1 = add %r1, 0x1
+  br head
+done:
+  %r3 = call boom(%r0)
+  ret %r3
+}
+`
+		return addParsedModule(t, env, errSrc, "hot"), []uint64{0x41414141}
+	})
+	// Corrupt-return pivot taken by the ret after a call.
+	runDiff(t, 0, func(env *memEnv) (*Function, []uint64) {
+		env.intrinsics["mark"] = func([]uint64) (uint64, error) { return 0, nil }
+		gadget := NewFunction("gadget", 0)
+		gadget.Call("mark")
+		gadget.Ret(Imm(7))
+		gAddr := env.addFunc(gadget.Fn())
+
+		leaf := NewFunction("leaf", 1)
+		leaf.Ret(leaf.Param(0))
+		env.addFunc(leaf.Fn())
+
+		vuln := NewFunction("vuln", 1)
+		i := vuln.Mov(Imm(0))
+		vuln.Br("loop")
+		vuln.NewBlock("loop")
+		c := vuln.CmpLT(i, Imm(2))
+		vuln.CondBr(c, "body", "done")
+		vuln.NewBlock("body")
+		vuln.Assign(i, vuln.Add(i, Imm(1)))
+		vuln.Br("loop")
+		vuln.NewBlock("done")
+		vuln.Call(corruptReturnIntrinsic, vuln.Param(0))
+		vuln.Ret(vuln.Call("leaf", i))
+		env.addFunc(vuln.Fn())
+		return vuln.Fn(), []uint64{gAddr}
 	})
 }

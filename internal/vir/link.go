@@ -63,17 +63,6 @@ const (
 	// opUnimpl: an opcode the linker does not know; reproduces the
 	// reference "unimplemented opcode" error at execution time.
 	opUnimpl
-	// opMaskElided: an OpMaskGhost the admission checker proved
-	// redundant (Function.Proofs): register b already holds the masked
-	// value, so the host work collapses to a register copy. The
-	// modeled charge is unchanged — virtual cycles are charged for the
-	// mask the virtual machine still "executes".
-	opMaskElided
-	// opCFICallIndElided: an OpCFICallInd whose target provably passed
-	// an equivalent CFI check earlier on all paths. Identical to
-	// OpCFICallInd minus the host-side cfiCheck call; charges
-	// unchanged.
-	opCFICallIndElided
 )
 
 // linkedInstr is one lowered instruction. Branch targets are code
@@ -93,29 +82,11 @@ type linkedInstr struct {
 	t1, t2 int       // lowered Blk1/Blk2 (indices into linkedFn.code)
 	callee *linkedFn // pre-resolved direct-call target
 
-	// op2 is the secondary opcode of a fused superinstruction (the
-	// comparison of a cmp+br pair, the ALU op of a const+ALU pair).
-	op2 Opcode
-	// fused holds the original lowered constituents of a
-	// superinstruction, in execution order — the fusion table the
-	// step-limit slow path replays per-instruction charges from. Nil on
-	// ordinary instructions.
-	fused []linkedInstr
-
-	// icTarget/icFn are the site's monomorphic inline cache for
-	// indirect calls: the last resolved (code address, lowered callee)
-	// pair. A hit skips the Env address resolution and the linked-code
-	// lookup; the cache dies with the linked code on every epoch flush,
-	// so it can never outlive the code-space bindings it captured.
-	icTarget uint64
-	icFn     *linkedFn
-
 	// charges is this instruction's own deterministic pre-charge (the
 	// cycles the reference interpreter advances unconditionally before
 	// the instruction can fail or call out), broken down by cost tag.
 	// It aliases a shared per-opcode slice (instrCharges) — never
-	// mutate it — except on superinstructions, where it is the
-	// link-time concatenation of the constituents' shared slices.
+	// mutate it.
 	charges []tagCharge
 	// segLen > 0 marks a segment head; it counts the instructions in
 	// the segment and segCharges sums their charges per tag (built at
@@ -130,14 +101,10 @@ type tagCharge struct {
 	n   uint64
 }
 
-// linkedFn is a function lowered to a flat code array. calls counts
-// frame entries since this lowering — the raw material of the
-// execution-count profile that guides fusion (Engine.Profile folds the
-// counts of flushed lowerings into its retained profile).
+// linkedFn is a function lowered to a flat code array.
 type linkedFn struct {
-	fn    *Function
-	code  []linkedInstr
-	calls uint64
+	fn   *Function
+	code []linkedInstr
 }
 
 // Shared per-opcode charge slices: every linkedInstr of a given shape
@@ -166,7 +133,7 @@ func instrCharges(op Opcode) []tagCharge {
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
 		opFuncAddrImm:
 		return chargeALU
-	case OpMaskGhost, opMaskElided:
+	case OpMaskGhost:
 		return chargeMask
 	case OpCFILabel:
 		return chargeLabel
@@ -174,7 +141,7 @@ func instrCharges(op Opcode) []tagCharge {
 		return chargeBranch
 	case OpCall, opCallIntrinsic, opCorruptReturn, OpCallInd, OpRet:
 		return chargeCall
-	case OpCFICallInd, opCFICallIndElided, OpCFIRet:
+	case OpCFICallInd, OpCFIRet:
 		return chargeCFICall
 	}
 	return nil
@@ -188,8 +155,7 @@ func endsSegment(op Opcode) bool {
 	switch op {
 	case OpConst, OpMov, OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
-		OpMaskGhost, opMaskElided, OpCFILabel, opFuncAddrImm,
-		opFusedConstALU:
+		OpMaskGhost, OpCFILabel, opFuncAddrImm:
 		return false
 	}
 	return true
@@ -234,41 +200,21 @@ func (e *Engine) link(env Env, fn *Function) *linkedFn {
 		}
 	}
 
-	// Pass 2.5: superinstruction fusion, when the profile (or the loop
-	// heuristic) marks the function hot. Runs before segment accounting
-	// so fused charge lists and step weights batch exactly like their
-	// constituents would have.
+	// Pass 3: segment accounting. Segments begin at block starts (all
+	// branch targets are block starts) and after any instruction that
+	// can fault, call out, or branch.
 	isStart := make([]bool, len(lf.code))
 	for _, b := range fn.Blocks {
 		isStart[starts[b.Name]] = true
 	}
-	if e.shouldFuse(fn) {
-		e.fusePass(lf, isStart)
-	}
-
-	// Pass 3: segment accounting. Segments begin at block starts (all
-	// branch targets are block starts) and after any instruction that
-	// can fault, call out, or branch. A segment's step count is the sum
-	// of its instructions' headSteps (a superinstruction weighs its
-	// constituents), and gap slots — consumed second halves of fused
-	// pairs, never executed — contribute nothing and never head a
-	// segment.
 	head := 0
 	for i := range lf.code {
-		if lf.code[i].op == opFusedGap {
-			if head == i {
-				// The preceding superinstruction ended a segment; the
-				// next one starts after the gap.
-				head = i + 1
-			}
-			continue
-		}
 		if i > head && isStart[i] {
 			// Fallthrough into a block start: close the previous
 			// segment here.
 			head = i
 		}
-		lf.code[head].segLen += lf.code[i].headSteps()
+		lf.code[head].segLen++
 		for _, tc := range lf.code[i].charges {
 			lf.code[head].segCharges = addTagCharge(lf.code[head].segCharges, tc)
 		}
@@ -327,29 +273,9 @@ func (e *Engine) lower(env Env, fn *Function, b *Block, idx int, starts map[stri
 			li.op = opFuncAddrImm
 			li.imm = addr
 		}
-	case OpMaskGhost:
-		// Proof-carrying elision: when the admission checker proved a
-		// register already holds the masked value on every path, the
-		// mask collapses to a copy from it (operand b). Charges stay
-		// those of the mask — the virtual machine still executes it.
-		if e.elide {
-			if p, ok := fn.Proofs.MaskAt(b.Name, idx); ok {
-				li.op = opMaskElided
-				li.b = R(p.CopyFrom)
-				e.stats.MasksElided++
-			}
-		}
-	case OpCFICallInd:
-		// Dominated CFI check: the target value already passed an
-		// identical check on every path, so the host-side re-check is
-		// skipped. Charges stay those of the checked call.
-		if e.elide && fn.Proofs.CFIDominatedAt(b.Name, idx) {
-			li.op = opCFICallIndElided
-			e.stats.CFIElided++
-		}
 	case OpConst, OpMov, OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor,
 		OpShl, OpShr, OpCmpEQ, OpCmpNE, OpCmpLT, OpCmpGE, OpSelect,
-		OpLoad, OpStore, OpMemcpy, OpCallInd,
+		OpMaskGhost, OpLoad, OpStore, OpMemcpy, OpCallInd, OpCFICallInd,
 		OpRet, OpCFIRet, OpPortIn, OpPortOut, OpCFILabel:
 		// Lowered as-is.
 	default:

@@ -51,11 +51,6 @@ func TestResolveExecFlags(t *testing.T) {
 			wantErr: "-cpus must be at least 1, got -3",
 		},
 		{
-			name:    "negative cpus with hostpar",
-			in:      ExecFlags{HostPar: true, CPUs: -2},
-			wantErr: "-cpus must be at least 1, got -2",
-		},
-		{
 			name:    "unknown engine",
 			in:      ExecFlags{Engine: "jit", CPUs: 1},
 			wantErr: "unknown engine",

@@ -213,11 +213,14 @@ func BenchmarkCopyinCopyout(b *testing.B) {
 // construction (the differential tests enforce it); the host ns/op and
 // allocs/op are the engine's win.
 func BenchmarkEngineKChecksum(b *testing.B) {
-	for _, eng := range []kernel.EngineKind{kernel.EngineLinked, kernel.EngineReference} {
-		b.Run(eng.String(), func(b *testing.B) {
+	for _, eng := range []struct {
+		name string
+		kind kernel.EngineKind
+	}{{"linked", kernel.EngineLinked}, {"reference", kernel.EngineReference}} {
+		b.Run(eng.name, func(b *testing.B) {
 			sys := repro.MustNewSystem(repro.VirtualGhost)
 			k := sys.Kernel
-			k.SetEngine(eng)
+			k.SetEngine(eng.kind)
 			const buf = 0xffffff8000300000
 			if err := k.KMemset(buf, 0x7f, 4096); err != nil {
 				b.Fatal(err)

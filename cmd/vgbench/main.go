@@ -4,9 +4,7 @@
 // the run as BENCH_<date>.json (virtual overheads + host ns and host
 // allocations per experiment) so the perf trajectory is
 // machine-readable across PRs. -cpuprofile/-memprofile capture pprof
-// data for simulator-efficiency work, and -engine selects the IR
-// execution engine (pre-linked by default, reference interpreter for
-// differential measurement).
+// data for simulator-efficiency work.
 package main
 
 import (
@@ -28,15 +26,11 @@ func main() {
 	quick := flag.Bool("quick", false, "use small iteration counts")
 	only := flag.String("only", "", "run a single experiment: "+strings.Join(experimentNames, "|"))
 	cpus := flag.Int("cpus", 8, "top of the SMP sweep for the cpu-scaling experiment (1/2/4/8 up to this)")
-	parallel := flag.Bool("parallel", false, "fan independent measurements out over host goroutines (identical results, less wall-clock)")
-	hostpar := flag.Bool("hostpar", false, "run epoch user phases on concurrent host goroutines (multi-CPU machines; identical results, less wall-clock)")
 	csvDir := flag.String("csv", "", "also write machine-readable results to this directory")
 	jsonOut := flag.Bool("json", false, "also write BENCH_<date>.json with overheads, host ns, and host allocs per experiment")
 	breakdown := flag.Bool("breakdown", false, "print per-tag cycle attribution under Table 2/3/4")
 	traceOut := flag.String("trace", "", "record tagged charge events and write a Chrome trace_event JSON file at exit")
-	engineFlag := flag.String("engine", "linked", "IR execution engine: linked|reference")
-	snapshotFlag := flag.String("snapshot", "", "save=PATH writes a post-boot snapshot bundle; use=PATH warm-starts every measurement system from one (virtual numbers identical either way)")
-	replayFlag := flag.Bool("replay", false, "serve recorded nondeterministic inputs from the snapshot image (needs -snapshot use= of a recorded image)")
+	snapshotFlag := flag.String("snapshot", "", "save=PATH writes a post-boot snapshot bundle (PATH, PATH.vg, PATH.shadow) and keeps measuring; use=PATH warm-starts every measurement system from such a bundle (virtual numbers identical either way)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
@@ -46,14 +40,11 @@ func main() {
 			*only, strings.Join(experimentNames, ", "))
 		os.Exit(2)
 	}
-	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{
-		Engine: *engineFlag, HostPar: *hostpar, CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag,
-	})
+	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{CPUs: *cpus, Snapshot: *snapshotFlag})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	execCfg.Apply()
 
 	var tracer *hw.Tracer
 	if *traceOut != "" {
@@ -82,7 +73,6 @@ func main() {
 		sc = experiments.QuickScale()
 		scaleName = "quick"
 	}
-	sc.Parallel = *parallel
 
 	run := func(name string) bool { return *only == "" || *only == name }
 
@@ -155,7 +145,7 @@ func main() {
 		report.Entries = append(report.Entries, experiments.BenchEntry{
 			Name: name, HostNs: ns,
 			HostAllocs: allocs, HostAllocBytes: allocBytes,
-			Metrics: metrics, HostParallel: *hostpar,
+			Metrics: metrics,
 		})
 		return &report.Entries[len(report.Entries)-1]
 	}
@@ -281,25 +271,11 @@ func main() {
 				counts = append(counts, n)
 			}
 		}
-		// The sweep always runs both scheduling modes: CPUScalingCompare
-		// panics if any virtual number differs between them, so every
-		// vgbench run re-proves the host-parallel determinism contract
-		// while producing the host-speedup numbers.
-		var cmp []experiments.CPUComparePoint
-		ns, allocs, ab := timed(func() { cmp = experiments.CPUScalingCompare(sc, counts) })
-		pts := make([]experiments.CPUPoint, len(cmp))
-		for i, c := range cmp {
-			if *hostpar {
-				pts[i] = c.Parallel
-			} else {
-				pts[i] = c.Serial
-			}
-		}
+		var pts []experiments.CPUPoint
+		ns, allocs, ab := timed(func() { pts = experiments.CPUScaling(sc, counts) })
 		fmt.Println(experiments.FormatCPUScaling(pts))
-		fmt.Println(experiments.FormatHostParallel(cmp))
 		if *csvDir != "" {
 			export(experiments.ExportCPUScaling(*csvDir, pts))
-			export(experiments.ExportHostParallel(*csvDir, cmp))
 		}
 		metrics := make(map[string]float64)
 		for _, p := range pts {
@@ -307,9 +283,6 @@ func main() {
 			for c, u := range p.Utilization {
 				metrics[fmt.Sprintf("util_%dcpu_cpu%d", p.NumCPUs, c)] = u
 			}
-		}
-		for _, c := range cmp {
-			metrics[fmt.Sprintf("host_speedup_%dcpu", c.Serial.NumCPUs)] = c.HostSpeedup()
 		}
 		record("cpu_scaling_ghost_httpd", ns, allocs, ab, metrics)
 	}

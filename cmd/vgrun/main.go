@@ -26,8 +26,6 @@ func main() {
 	app := flag.String("app", "hello", "workload: hello|keygen|postmark|lmbench")
 	n := flag.Int("n", 2000, "transaction/iteration count")
 	cpus := flag.Int("cpus", 1, "number of simulated CPUs")
-	hostpar := flag.Bool("hostpar", false, "run epoch user phases on concurrent host goroutines (needs -cpus > 1; identical results, less wall-clock)")
-	engineFlag := flag.String("engine", "linked", "IR execution engine: linked|reference")
 	breakdown := flag.Bool("breakdown", false, "print per-tag cycle attribution and the per-syscall profile")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON file of tagged charges")
 	snapshotFlag := flag.String("snapshot", "", "save=PATH records the run into a snapshot image (post-boot state + nondeterministic-input trailer); use=PATH restores one before the workload")
@@ -38,14 +36,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "vgrun: -n must be at least 1, got %d\n", *n)
 		os.Exit(2)
 	}
-	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{
-		Engine: *engineFlag, HostPar: *hostpar, CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag,
-	})
+	execCfg, err := kernel.ResolveExecFlags(kernel.ExecFlags{CPUs: *cpus, Snapshot: *snapshotFlag, Replay: *replayFlag})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	execCfg.Apply()
 
 	var tracer *hw.Tracer
 	if *traceOut != "" {

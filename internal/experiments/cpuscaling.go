@@ -22,11 +22,8 @@ import (
 // Virtual parallelism is modeled by per-CPU busy-cycle attribution
 // (internal/kernel/epoch.go): the makespan is the busiest CPU's virtual
 // time, so spreading the same work over more CPUs raises throughput.
-// Host parallelism is real: with Kernel.SetHostParallel the epoch
-// scheduler runs the per-request user work (the AES sealing above all)
-// on concurrent host goroutines, with bit-identical virtual results —
-// CPUPoint.Fingerprint digests every deterministic output so tests and
-// CPUScalingCompare can assert the equivalence.
+// CPUPoint.Fingerprint digests every deterministic output so tests can
+// pin it.
 
 // CPUCounts is the machine-size sweep.
 var CPUCounts = []int{1, 2, 4, 8}
@@ -37,8 +34,7 @@ const scalingWorkers = 8
 
 // scalingResponse is the response-body size each request seals. The
 // AES-GCM work on this much data is the dominant *host* cost of a
-// request, which is exactly the work the host-parallel user phases
-// spread across cores.
+// request.
 const scalingResponse = 32 * 1024
 
 // CPUPoint is one machine size's result.
@@ -50,35 +46,27 @@ type CPUPoint struct {
 	Speedup     float64   // vs the 1-CPU point (virtual)
 	Utilization []float64 // per-CPU busy / makespan
 
-	// HostSec is the host wall-clock the run took; HostParallel records
-	// whether epoch user phases ran on concurrent host goroutines.
-	// These are simulator-efficiency numbers: they vary run to run and
-	// are never part of the deterministic surface.
-	HostSec      float64
-	HostParallel bool
+	// HostSec is the host wall-clock the run took: a simulator-
+	// efficiency number that varies run to run and is never part of
+	// the deterministic surface.
+	HostSec float64
 
 	// Fingerprint digests every deterministic virtual output of the run
 	// (cycle total, machine and per-CPU ledgers, per-CPU busy counters,
-	// kernel stats, IPI/shootdown counts, request count). Serial and
-	// host-parallel runs of the same point must produce identical
-	// fingerprints — the equivalence tests and CPUScalingCompare pin it.
+	// kernel stats, IPI/shootdown counts, request count);
+	// testdata/golden_smp.json pins it.
 	Fingerprint string
 }
 
 // CPUScaling measures ghost-webserver throughput on Virtual Ghost at
-// each CPU count in counts (nil = CPUCounts). Host parallelism follows
-// the kernel package default (vgbench/vgrun -hostpar).
+// each CPU count in counts (nil = CPUCounts).
 func CPUScaling(sc Scale, counts []int) []CPUPoint {
-	return cpuScaling(sc, counts, kernel.DefaultHostParallel())
-}
-
-func cpuScaling(sc Scale, counts []int, hostPar bool) []CPUPoint {
 	if counts == nil {
 		counts = CPUCounts
 	}
 	pts := make([]CPUPoint, 0, len(counts))
 	for _, n := range counts {
-		pts = append(pts, ghostServerThroughput(n, sc.HTTPRequests, hostPar))
+		pts = append(pts, ghostServerThroughput(n, sc.HTTPRequests))
 	}
 	for i := range pts {
 		if pts[0].ReqPerSec > 0 {
@@ -88,55 +76,13 @@ func cpuScaling(sc Scale, counts []int, hostPar bool) []CPUPoint {
 	return pts
 }
 
-// CPUComparePoint pairs a serial and a host-parallel run of one sweep
-// point, for the determinism check and the host-speedup report.
-type CPUComparePoint struct {
-	Serial   CPUPoint
-	Parallel CPUPoint
-}
-
-// Match reports whether the two runs produced bit-identical virtual
-// results.
-func (c CPUComparePoint) Match() bool {
-	return c.Serial.Fingerprint != "" && c.Serial.Fingerprint == c.Parallel.Fingerprint
-}
-
-// HostSpeedup returns serial host time / parallel host time.
-func (c CPUComparePoint) HostSpeedup() float64 {
-	if c.Parallel.HostSec <= 0 {
-		return 0
-	}
-	return c.Serial.HostSec / c.Parallel.HostSec
-}
-
-// CPUScalingCompare runs the sweep twice — serial and host-parallel —
-// and pairs the points. It panics if any point's virtual results
-// differ between the modes: that would mean the epoch protocol leaked
-// host scheduling into virtual time, which no flag may ever do.
-func CPUScalingCompare(sc Scale, counts []int) []CPUComparePoint {
-	ser := cpuScaling(sc, counts, false)
-	par := cpuScaling(sc, counts, true)
-	out := make([]CPUComparePoint, len(ser))
-	for i := range ser {
-		out[i] = CPUComparePoint{Serial: ser[i], Parallel: par[i]}
-		if !out[i].Match() {
-			panic(fmt.Sprintf("experiments: %d-CPU ghost-webserver run diverged between serial and host-parallel scheduling:\nserial:\n%s\nparallel:\n%s",
-				ser[i].NumCPUs, ser[i].Fingerprint, par[i].Fingerprint))
-		}
-	}
-	return out
-}
-
 // ghostServerThroughput boots an n-CPU Virtual Ghost system, runs
 // scalingWorkers request-serving processes, and derives throughput from
 // the makespan.
-func ghostServerThroughput(ncpus, reqsPerWorker int, hostPar bool) CPUPoint {
+func ghostServerThroughput(ncpus, reqsPerWorker int) CPUPoint {
 	cfg := hw.DefaultConfig()
 	cfg.NumCPUs = ncpus
-	sys, err := repro.NewSystemWithOptions(repro.VirtualGhost, repro.Options{
-		Machine:      cfg,
-		HostParallel: hostPar,
-	})
+	sys, err := repro.NewSystemWithOptions(repro.VirtualGhost, repro.Options{Machine: cfg})
 	if err != nil {
 		panic(fmt.Sprintf("experiments: boot %d-cpu system: %v", ncpus, err))
 	}
@@ -209,12 +155,11 @@ func ghostServerThroughput(ncpus, reqsPerWorker int, hostPar bool) CPUPoint {
 		}
 	}
 	pt := CPUPoint{
-		NumCPUs:      ncpus,
-		Requests:     scalingWorkers * reqsPerWorker,
-		MakespanSec:  hw.Seconds(makespan),
-		HostSec:      hostSec,
-		HostParallel: k.HostParallel(),
-		Fingerprint:  scalingFingerprint(sys, scalingWorkers*reqsPerWorker),
+		NumCPUs:     ncpus,
+		Requests:    scalingWorkers * reqsPerWorker,
+		MakespanSec: hw.Seconds(makespan),
+		HostSec:     hostSec,
+		Fingerprint: scalingFingerprint(sys, scalingWorkers*reqsPerWorker),
 	}
 	if pt.MakespanSec > 0 {
 		pt.ReqPerSec = float64(pt.Requests) / pt.MakespanSec
@@ -260,21 +205,6 @@ func FormatCPUScaling(pts []CPUPoint) string {
 	return sb.String()
 }
 
-// FormatHostParallel renders the serial-vs-parallel host wall-clock
-// comparison (virtual results are asserted identical by construction).
-func FormatHostParallel(pts []CPUComparePoint) string {
-	var sb strings.Builder
-	sb.WriteString("Host-parallel epoch scheduling: serial vs concurrent user phases (identical virtual results)\n")
-	fmt.Fprintf(&sb, "%-6s %12s %14s %14s %9s\n",
-		"CPUs", "Requests", "Serial host s", "Parallel host s", "Speedup")
-	for _, c := range pts {
-		fmt.Fprintf(&sb, "%-6d %12d %14.4f %14.4f %8.2fx\n",
-			c.Serial.NumCPUs, c.Serial.Requests,
-			c.Serial.HostSec, c.Parallel.HostSec, c.HostSpeedup())
-	}
-	return sb.String()
-}
-
 // ExportCPUScaling writes cpu_scaling.csv.
 func ExportCPUScaling(dir string, pts []CPUPoint) error {
 	out := make([][]string, 0, len(pts))
@@ -292,25 +222,11 @@ func ExportCPUScaling(dir string, pts []CPUPoint) error {
 			fmt.Sprint(p.NumCPUs), fmt.Sprint(p.Requests),
 			f3(p.MakespanSec), f3(p.ReqPerSec), f3(p.Speedup),
 			f3(minU), f3(maxU),
-			f3(p.HostSec), fmt.Sprint(p.HostParallel),
+			f3(p.HostSec),
 		})
 	}
 	return WriteCSV(dir, "cpu_scaling",
 		[]string{"num_cpus", "requests", "makespan_s", "req_per_s", "speedup",
-			"min_util", "max_util", "host_s", "host_parallel"},
-		out)
-}
-
-// ExportHostParallel writes host_parallel.csv.
-func ExportHostParallel(dir string, pts []CPUComparePoint) error {
-	out := make([][]string, 0, len(pts))
-	for _, c := range pts {
-		out = append(out, []string{
-			fmt.Sprint(c.Serial.NumCPUs), fmt.Sprint(c.Serial.Requests),
-			f3(c.Serial.HostSec), f3(c.Parallel.HostSec), f3(c.HostSpeedup()),
-		})
-	}
-	return WriteCSV(dir, "host_parallel",
-		[]string{"num_cpus", "requests", "serial_host_s", "parallel_host_s", "host_speedup"},
+			"min_util", "max_util", "host_s"},
 		out)
 }

@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro"
 	"repro/internal/apps/lmbench"
@@ -29,11 +28,6 @@ type Scale struct {
 	// experiment; C10KRequests is the per-connection request count.
 	C10KConns    int
 	C10KRequests int
-	// Parallel fans independent measurements (Table 2 rows, Table 3/4
-	// sizes) out over host goroutines. Each measurement boots its own
-	// systems on its own virtual clock, so results are bit-identical to
-	// the sequential run — only host wall-clock changes.
-	Parallel bool
 }
 
 // QuickScale is small enough for unit tests.
@@ -54,8 +48,8 @@ func FullScale() Scale {
 // machines are bit-identical to freshly booted ones, so every virtual
 // number is unchanged and only host boot time is skipped.
 func newSystem(mode repro.Mode) *repro.System {
-	if warm := currentWarmSource(); warm != nil {
-		if s := warm(mode); s != nil {
+	if warmSource != nil {
+		if s := warmSource(mode); s != nil {
 			return s
 		}
 	}
@@ -125,8 +119,7 @@ func Table2(sc Scale) []T2Row {
 		{"select", func(k *kernel.Kernel) float64 { return lmbench.Select(k, 64, iters) }},
 	}
 	rows := make([]T2Row, len(benches))
-	forEach(sc.Parallel, len(benches), func(i int) {
-		b := benches[i]
+	for i, b := range benches {
 		row := T2Row{Test: b.name, Paper: paperTable2[b.name]}
 		row.Native, row.NativeLedger = runLedgered(repro.Native, b.run)
 		row.VG, row.VGLedger = runLedgered(repro.VirtualGhost, b.run)
@@ -136,7 +129,7 @@ func Table2(sc Scale) []T2Row {
 			row.ShadowX = row.Shadow / row.Native
 		}
 		rows[i] = row
-	})
+	}
 	return rows
 }
 
@@ -148,28 +141,6 @@ func runLedgered(mode repro.Mode, run func(k *kernel.Kernel) float64) (float64, 
 	pre := sys.Kernel.M.Clock.Ledger()
 	v := run(sys.Kernel)
 	return v, sys.Kernel.M.Clock.Ledger().Sub(pre)
-}
-
-// forEach runs body(0..n-1), on host goroutines when parallel is set.
-// Each body call must be self-contained (its own systems and clock);
-// the results land in pre-sized slices, so ordering is preserved and
-// output is identical either way.
-func forEach(parallel bool, n int, body func(i int)) {
-	if !parallel {
-		for i := 0; i < n; i++ {
-			body(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			body(i)
-		}(i)
-	}
-	wg.Wait()
 }
 
 // FormatTable2 renders the Table 2 comparison.
@@ -290,8 +261,7 @@ func Table4(sc Scale) []FileRateRow {
 
 func fileRates(sc Scale, f func(*kernel.Kernel, int, int) float64, paper map[int][3]float64) []FileRateRow {
 	rows := make([]FileRateRow, len(FileSizes))
-	forEach(sc.Parallel, len(FileSizes), func(i int) {
-		size := FileSizes[i]
+	for i, size := range FileSizes {
 		r := FileRateRow{SizeBytes: size}
 		r.Native, r.NativeLedger = runLedgered(repro.Native, func(k *kernel.Kernel) float64 {
 			return f(k, size, sc.FileCount)
@@ -305,7 +275,7 @@ func fileRates(sc Scale, f func(*kernel.Kernel, int, int) float64, paper map[int
 		p := paper[size]
 		r.PaperNat, r.PaperVG, r.PaperRatio = p[0], p[1], p[2]
 		rows[i] = r
-	})
+	}
 	return rows
 }
 

@@ -108,11 +108,6 @@ type BenchEntry struct {
 	HostAllocs     int64              `json:"host_allocs,omitempty"`
 	HostAllocBytes int64              `json:"host_alloc_bytes,omitempty"`
 	Metrics        map[string]float64 `json:"metrics"`
-	// HostParallel records whether epoch user phases ran on concurrent
-	// host goroutines (-hostpar). It can only change host_ns — every
-	// metric is bit-identical either way, and the cpu_scaling entry's
-	// equivalence check enforces that on every run.
-	HostParallel bool `json:"host_parallel,omitempty"`
 	// Breakdown attributes the measured virtual cycles per configuration
 	// (e.g. "null syscall/vghost") to cost tags (tag name -> cycles).
 	// Present for experiments that capture ledgers (Table 2/3/4).
@@ -140,7 +135,10 @@ type BenchEntry struct {
 // syn_drops/timeout_kills counters).
 // v7: removes the check_elision and superinstruction_fusion entries
 // (the engine no longer elides checks or fuses instructions).
-const BenchSchemaVersion = 7
+// v8: removes the per-entry host_parallel flag and the cpu_scaling
+// entry's host_speedup_<n>cpu metrics (the epoch scheduler's user
+// phase now always runs serially).
+const BenchSchemaVersion = 8
 
 // BenchReport is the cross-PR perf trajectory record written by
 // `vgbench -json` as BENCH_<date>.json.
@@ -150,9 +148,8 @@ type BenchReport struct {
 	Scale         string `json:"scale"`
 	// NumCPUs is the top of the SMP sweep (-cpus); 1 = single-CPU run.
 	NumCPUs int `json:"num_cpus"`
-	// HostCPUs is runtime.NumCPU() on the measuring machine — the hard
-	// ceiling on any host_speedup_* metric (one host core caps every
-	// host speedup at ~1x regardless of virtual CPU count).
+	// HostCPUs is runtime.NumCPU() on the measuring machine, recorded
+	// as context for the host timings.
 	HostCPUs int `json:"host_cpus,omitempty"`
 	// BootSkippedSec is the host time saved by warm-starting measurement
 	// systems from a snapshot bundle (-snapshot use=PATH): cold boots

@@ -75,8 +75,8 @@ func collectGoldenSMP(t *testing.T) map[string]string {
 	out := make(map[string]string)
 	sc := QuickScale()
 	for _, n := range []int{1, 2, 4, 8} {
-		out[fmt.Sprintf("scaling/%dcpu", n)] = ghostServerThroughput(n, sc.HTTPRequests, false).Fingerprint
+		out[fmt.Sprintf("scaling/%dcpu", n)] = ghostServerThroughput(n, sc.HTTPRequests).Fingerprint
 	}
-	out["netstack/4cpu"] = netStackFingerprint(t, false)
+	out["netstack/4cpu"] = netStackFingerprint(t)
 	return out
 }

@@ -11,42 +11,18 @@ import (
 	"repro/internal/kernel"
 )
 
-// TestHostParallelNetStackEquivalence pins the determinism contract for
-// the event-driven networking path (poll sets, the timer wheel, and
-// nonblocking sockets): a 4-CPU system running the event server under
-// concurrent client processes must produce bit-identical virtual
-// results whether epoch user phases run serially or on concurrent host
-// goroutines. Under -race (CI runs this file that way) it doubles as
-// the data-race check for the net stack under the parallel scheduler.
-func TestHostParallelNetStackEquivalence(t *testing.T) {
-	s1 := netStackFingerprint(t, false)
-	s2 := netStackFingerprint(t, false)
-	p1 := netStackFingerprint(t, true)
-	p2 := netStackFingerprint(t, true)
-	if s1 != s2 {
-		t.Fatalf("serial net run is not reproducible:\n--- run 1\n%s--- run 2\n%s", s1, s2)
-	}
-	if p1 != p2 {
-		t.Fatalf("host-parallel net run is not reproducible:\n--- run 1\n%s--- run 2\n%s", p1, p2)
-	}
-	if s1 != p1 {
-		t.Fatalf("net stack diverged between serial and host-parallel scheduling:\n--- serial\n%s--- parallel\n%s", s1, p1)
-	}
-}
-
 const netParClients = 6
 
-// netStackFingerprint runs the workload — event server plus concurrent
-// keep-alive/session clients and one slowloris connection reaped by the
-// timer wheel — and digests every deterministic virtual output.
-func netStackFingerprint(t *testing.T, hostPar bool) string {
+// netStackFingerprint runs the event-driven networking path (poll sets,
+// the timer wheel, nonblocking sockets) on a 4-CPU machine — event
+// server plus concurrent keep-alive/session clients and one slowloris
+// connection reaped by the timer wheel — and digests every
+// deterministic virtual output. TestGoldenSMP pins the result.
+func netStackFingerprint(t *testing.T) string {
 	t.Helper()
 	cfg := hw.DefaultConfig()
 	cfg.NumCPUs = 4
-	sys, err := repro.NewSystemWithOptions(repro.Native, repro.Options{
-		Machine:      cfg,
-		HostParallel: hostPar,
-	})
+	sys, err := repro.NewSystemWithOptions(repro.Native, repro.Options{Machine: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,9 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro"
 	"repro/internal/apps/lmbench"
@@ -24,26 +23,18 @@ import (
 // --- warm start --------------------------------------------------------
 
 // WarmSource produces a ready-to-measure system for a mode, or nil to
-// fall back to a cold boot. It must be safe for concurrent calls
-// (Scale.Parallel measurements fan out over host goroutines).
+// fall back to a cold boot.
 type WarmSource func(mode repro.Mode) *repro.System
 
-// warmSource holds the installed WarmSource (nil when cold-booting).
-var warmSource atomic.Value // of WarmSource
+// warmSource is the installed WarmSource (nil when cold-booting).
+var warmSource WarmSource
 
 // SetWarmSource installs (or, with nil, removes) the warm-start hook
 // consulted by every default-configuration system the experiments boot.
 // Restored systems are bit-identical to freshly booted ones — the
 // snapshot round-trip differential asserts it — so every virtual number
 // an experiment reports is unchanged; only host boot time is skipped.
-func SetWarmSource(fn WarmSource) {
-	warmSource.Store(fn)
-}
-
-func currentWarmSource() WarmSource {
-	fn, _ := warmSource.Load().(WarmSource)
-	return fn
-}
+func SetWarmSource(fn WarmSource) { warmSource = fn }
 
 // SnapBundlePaths maps each configuration to its image path under one
 // user-supplied base path (the native image takes the base itself, so
@@ -77,13 +68,10 @@ func SaveSnapBundle(base string) (int, error) {
 
 // WarmStart is a loaded snapshot bundle acting as a WarmSource: each
 // system it serves is forked from the mode's image with copy-on-write
-// page sharing, so parallel measurements share one machine's worth of
-// boot-state pages.
+// page sharing.
 type WarmStart struct {
 	images map[repro.Mode]*snapshot.Image
 	bytes  int
-
-	mu     sync.Mutex
 	served map[repro.Mode]int
 }
 
@@ -124,9 +112,7 @@ func (w *WarmStart) Serve(mode repro.Mode) *repro.System {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: warm fork %v: %v", mode, err))
 	}
-	w.mu.Lock()
 	w.served[mode]++
-	w.mu.Unlock()
 	return sys
 }
 
@@ -134,20 +120,12 @@ func (w *WarmStart) Serve(mode repro.Mode) *repro.System {
 func (w *WarmStart) Bytes() int { return w.bytes }
 
 // Served reports how many warm systems were handed out, by mode.
-func (w *WarmStart) Served() map[repro.Mode]int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make(map[repro.Mode]int, len(w.served))
-	for m, n := range w.served {
-		out[m] = n
-	}
-	return out
-}
+func (w *WarmStart) Served() map[repro.Mode]int { return maps.Clone(w.served) }
 
 // TotalServed sums Served over modes.
 func (w *WarmStart) TotalServed() int {
 	n := 0
-	for _, c := range w.Served() {
+	for _, c := range w.served {
 		n += c
 	}
 	return n

@@ -131,11 +131,10 @@ type Clock struct {
 
 	// Shard state for the epoch/barrier scheduler (DESIGN.md §14).
 	// Between BeginShardPhase and EndShardPhase, ChargeOn accumulates
-	// into per-CPU shards instead of the global counters, so CPUs can
-	// charge concurrently from host goroutines without sharing any
-	// mutable word. EndShardPhase merges the shards in CPU-id order;
-	// totals are sums of charges, so the merged ledger is bit-identical
-	// no matter how the host interleaved the CPUs.
+	// into per-CPU shards instead of the global counters, so each CPU's
+	// user segment advances only its own view of time. EndShardPhase
+	// merges the shards in CPU-id order; totals are sums of charges, so
+	// the merged ledger depends only on what each CPU charged.
 	sharding  bool
 	shardBase uint64 // global cycles at BeginShardPhase (view origin)
 	shards    []clockShard
@@ -182,9 +181,9 @@ func (c *Clock) IdleTarget() (uint64, bool) {
 	return best, found
 }
 
-// clockShard is one CPU's private accumulator during a parallel user
-// phase. Exactly one goroutine (that CPU's) touches it between the
-// barriers; the scheduler reads it only after the phase joins.
+// clockShard is one CPU's private accumulator during the epoch
+// scheduler's user phase. Only that CPU's user segment charges it
+// between the barriers; the scheduler reads it after the segment.
 type clockShard struct {
 	cycles uint64
 	ledger Ledger
@@ -232,7 +231,8 @@ func (c *Clock) Charge(tag Tag, n uint64) {
 // CPU. Outside a shard phase it is exactly Charge (the scheduler keeps
 // the clock's selected CPU in sync with the executing CPU, so the
 // attribution is unchanged); inside a shard phase it accumulates into
-// the CPU's private shard so concurrent CPUs never share a counter.
+// the CPU's private shard, kept apart from its siblings until the
+// barrier.
 // Hardware owned by one CPU (the CPU core itself, its MMU) and
 // process-context compute charges route through here.
 func (c *Clock) ChargeOn(cpu int, tag Tag, n uint64) {
@@ -262,7 +262,7 @@ func (c *Clock) ChargeBytesOn(cpu int, tag Tag, n int, costPer8 uint64) {
 // BeginShardPhase freezes the global counters and opens per-CPU shards
 // for n CPUs. Called by the epoch scheduler (serial context) before
 // the user phase; until EndShardPhase, each CPU i may charge only via
-// ChargeOn(i, ...) and only from one goroutine.
+// ChargeOn(i, ...).
 func (c *Clock) BeginShardPhase(n int) {
 	if c.sharding {
 		panic("hw: BeginShardPhase while already sharding")
@@ -284,8 +284,8 @@ func (c *Clock) BeginShardPhase(n int) {
 // EndShardPhase merges the shards into the global clock in CPU-id
 // order and replays the per-CPU trace rings into the attached tracer,
 // timestamp-ordered (ties broken by CPU id). Totals are order-
-// independent sums, so the merged state is identical whether the
-// phase ran serially or on concurrent host goroutines.
+// independent sums, so the merged state does not depend on the order
+// in which the CPUs' segments ran.
 func (c *Clock) EndShardPhase() {
 	if !c.sharding {
 		panic("hw: EndShardPhase without BeginShardPhase")
@@ -311,8 +311,8 @@ func (c *Clock) EndShardPhase() {
 	}
 }
 
-// Sharding reports whether a shard phase is open (user segments are —
-// or may be — executing on host goroutines).
+// Sharding reports whether a shard phase is open (the epoch
+// scheduler's user phase is running).
 func (c *Clock) Sharding() bool { return c.sharding }
 
 // ShardCycles returns the cycles CPU cpu has accumulated in the open
@@ -323,17 +323,6 @@ func (c *Clock) ShardCycles(cpu int) uint64 {
 		return 0
 	}
 	return c.shards[cpu].cycles
-}
-
-// CyclesOn returns CPU cpu's view of the current time: during a shard
-// phase, the phase origin plus the CPU's own accumulated cycles
-// (monotonic per CPU, independent of its siblings); otherwise the
-// global cycle counter.
-func (c *Clock) CyclesOn(cpu int) uint64 {
-	if c.sharding && cpu >= 0 && cpu < len(c.shards) {
-		return c.shardBase + c.shards[cpu].cycles
-	}
-	return c.cycles
 }
 
 // SetShardContext stamps CPU cpu's shard trace events with a process

@@ -47,11 +47,9 @@ func (b *PortBus) Out(port uint16, val uint64) {
 // attack exfiltrates stolen data by printing it here, so tests inspect
 // the console transcript.
 //
-// Printf is mutex-guarded: during a parallel user phase, processes on
-// different CPUs may print concurrently. Line *content* per process is
-// deterministic; relative order of lines from concurrent CPUs is not
-// part of the deterministic surface (consumers use Contains, never
-// positional indexing of another CPU's output).
+// Printf is mutex-guarded, so the transcript may be read from any host
+// goroutine. Consumers use Contains, never positional indexing of
+// another CPU's output.
 type Console struct {
 	mu    sync.Mutex
 	lines []string

@@ -133,9 +133,9 @@ var ErrNotMapped = errors.New("not mapped")
 type MMU struct {
 	mem   *Memory
 	clock *Clock
-	// cpu is the owning CPU's id, so translation charges stay on that
-	// CPU's shard when the epoch scheduler runs user segments on
-	// concurrent host goroutines (0 for the boot CPU and bare MMUs).
+	// cpu is the owning CPU's id, so translation charges land on that
+	// CPU's shard during the epoch scheduler's user phase (0 for the
+	// boot CPU and bare MMUs).
 	cpu  int
 	root Frame // current CR3 (root page-table frame); 0 = none
 	tlb  map[Virt]tlbEntry
@@ -151,18 +151,9 @@ type MMU struct {
 
 // walkCache is the shared host-side cache of completed software walks;
 // see the MMU comment above for its strict-invalidation contract.
-//
-// Concurrency contract (DESIGN.md §14): during a parallel user phase
-// the cache is *frozen* — concurrent CPUs may read it lock-free, but
-// nothing may insert or invalidate until the epoch barrier. Mutation
-// (mapping updates, frame frees/retypes, module loads) is kernel work,
-// which the epoch scheduler serializes at the barrier, so on a correct
-// tree the freeze is free; Freeze/Unfreeze plus the panics below turn
-// any violation into a loud failure instead of a data race.
 type walkCache struct {
 	walk     map[walkKey]walkEntry
 	walkDeps map[Frame]map[walkKey]struct{} // table frame -> entries whose walk traversed it
-	frozen   bool
 }
 
 func newWalkCache() *walkCache {
@@ -454,12 +445,6 @@ func (u *MMU) CachedLeaf(root Frame, v Virt) (PTE, bool, error) {
 	if !leaf.Present() {
 		return 0, false, nil
 	}
-	if u.cache.frozen {
-		// Frozen phase: serve the walk but do not populate the cache —
-		// an insert would race with the other CPUs' lock-free reads.
-		// Misses during a frozen phase simply pay the host walk again.
-		return leaf, true, nil
-	}
 	u.cache.walk[key] = walkEntry{pte: leaf, tables: tables}
 	for _, f := range tables {
 		deps := u.cache.walkDeps[f]
@@ -499,24 +484,10 @@ func (u *MMU) invalidateTableFrame(f Frame) {
 	}
 }
 
-// FreezeWalkCache marks the shared walk cache read-only for the
-// duration of a parallel user phase. Concurrent readers are safe on
-// the frozen cache; any insert is skipped and any invalidation panics
-// (invalidation is kernel work and must happen at epoch barriers —
-// see the walkCache comment). Idempotent per phase; serial context.
-func (u *MMU) FreezeWalkCache() { u.cache.frozen = true }
-
-// UnfreezeWalkCache reopens the walk cache for mutation at the epoch
-// barrier.
-func (u *MMU) UnfreezeWalkCache() { u.cache.frozen = false }
-
 func (u *MMU) dropWalk(key walkKey) {
 	we, ok := u.cache.walk[key]
 	if !ok {
 		return
-	}
-	if u.cache.frozen {
-		panic("hw: walk-cache invalidation during a frozen (parallel user) phase — page-table mutation must happen at epoch barriers")
 	}
 	delete(u.cache.walk, key)
 	for _, f := range we.tables {

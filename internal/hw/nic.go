@@ -13,7 +13,7 @@ import "sort"
 // connections dequeues in O(1) instead of scanning one shared ring.
 // The set of ports with pending packets is kept sorted — that list is
 // the NIC's "descriptor ring", and draining it in port order is what
-// keeps multi-port delivery deterministic under -hostpar.
+// keeps multi-port delivery deterministic.
 //
 // Like the disk, the wire is untrusted: the peer helper methods expose
 // everything in flight, which is why ghosting applications encrypt

@@ -301,9 +301,6 @@ func (c *CPU) applySnap(s *CPUSnap) {
 // because cached walks describe the pre-restore page tables; by the
 // cache's contract a cold start is invisible to the virtual clock.
 func (u *MMU) ResetWalkCache() {
-	if u.cache.frozen {
-		panic("hw: walk-cache reset during a frozen (parallel user) phase")
-	}
 	clear(u.cache.walk)
 	clear(u.cache.walkDeps)
 }

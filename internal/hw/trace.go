@@ -23,8 +23,8 @@ type TraceEvent struct {
 // The buffer is allocated once at construction; recording never
 // allocates, and when the buffer is full the oldest events are
 // overwritten (the tail of a run is usually the interesting part).
-// Recording is mutex-guarded so tracers are safe to share across the
-// goroutines of a parallel experiment sweep.
+// Recording is mutex-guarded, so machines on different goroutines may
+// share one tracer.
 //
 // Tracing costs zero *virtual* cycles by construction — the tracer
 // observes charges, it never makes them — and a detached tracer costs

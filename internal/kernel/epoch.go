@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-
-	"repro/internal/hw"
-)
+import "fmt"
 
 // This file is the epoch/barrier scheduler used on every multi-CPU
 // machine (DESIGN.md §14). Execution proceeds in epochs of three
@@ -15,27 +11,21 @@ import (
 //     dispatcher — pending IPIs drain, the context-switch cost is
 //     charged, the address space is loaded — and the process is pinned
 //     to the CPU as its in-flight slot.
-//  2. User phase: every slot whose process is in user mode runs one
-//     user segment — user instructions up to the next HAL entry
-//     (syscall, trap, ghost/key operation) or voluntary end. Segments
-//     touch only per-CPU and per-process state plus that CPU's private
-//     clock shard (hw.Clock.BeginShardPhase), so they are independent:
-//     the scheduler may run them serially in CPU-id order or on
-//     concurrent host goroutines (Kernel.SetHostParallel) with
-//     bit-identical results.
+//  2. User phase (serial, CPU-id order): every slot whose process is
+//     in user mode runs one user segment — user instructions up to the
+//     next HAL entry (syscall, trap, ghost/key operation) or voluntary
+//     end. Segments charge only that CPU's private clock shard
+//     (hw.Clock.BeginShardPhase); a global charge panics.
 //  3. Kernel phase (serial, CPU-id order): the barrier. Shards merge
 //     into the global clock in CPU-id order, then each slot that
 //     parked wanting kernel work runs its kernel segment — syscall
 //     handlers, fault handling, IPIs, TLB shootdowns, signal delivery
 //     — on the shared global clock, exactly one at a time.
 //
-// Determinism argument: the schedule and kernel phases are serial in a
-// fixed order; user segments are data-race-free by construction (the
-// shard/freeze machinery in internal/hw turns violations into panics
-// under test), and their per-CPU effects merge at the barrier in fixed
-// CPU-id order. Hence every virtual number — cycle totals, ledgers,
-// per-CPU attribution, trace events, experiment tables — is identical
-// whether the user phase ran on one host thread or eight.
+// Every phase runs in a fixed order and the per-CPU shards merge at the
+// barrier in CPU-id order, so every virtual number — cycle totals,
+// ledgers, per-CPU attribution, trace events, experiment tables — is a
+// function of the workload alone.
 
 // pendKind tells the epoch scheduler which phase resumes a CPU's
 // in-flight process next.
@@ -101,9 +91,8 @@ func (k *Kernel) epoch() bool {
 }
 
 // dispatchEpoch fills CPU c's empty slot with its next runnable
-// process, performing the same context-switch work (and charging the
-// same cycles) as the classic dispatcher. Serial context, CPU-id
-// order.
+// process, performing the same context switch (and charging the same
+// cycles) as the single-CPU dispatcher. Serial context, CPU-id order.
 func (k *Kernel) dispatchEpoch(c *cpuRun) {
 	p := k.pickNextOn(c)
 	if p == nil {
@@ -112,19 +101,7 @@ func (k *Kernel) dispatchEpoch(c *cpuRun) {
 	if p == nil {
 		return
 	}
-	k.M.SetCurrentCPU(c.id)
-	start := k.M.Clock.Cycles()
-	k.M.DrainIPIs(c.id)
-	c.lastPID = p.PID
-	k.stats.ContextSwitch++
-	k.HAL.KAccess(workSched)
-	k.M.Clock.Charge(hw.TagSched, hw.CostContextSwitch)
-	k.HAL.SetCurrentThread(p.tid)
-	if err := k.HAL.LoadAddressSpace(p.root); err != nil {
-		panic(fmt.Sprintf("kernel: context switch to pid %d: %v", p.PID, err))
-	}
-	k.M.Cur().Regs.Priv = hw.User
-	p.onCPU = c.id
+	start := k.switchTo(c, p)
 	p.inflight = true
 	c.slot = p
 	if p.kdepth > 0 {
@@ -140,44 +117,18 @@ func (k *Kernel) dispatchEpoch(c *cpuRun) {
 }
 
 // userPhase runs one user segment on every slot that is pending user
-// execution. With host parallelism the segments run on concurrent
-// host goroutines (launch and join both in CPU-id order); otherwise
-// they run serially in CPU-id order. Both orders execute identical
-// code against disjoint state, so the post-phase machine state is
-// bit-identical.
+// execution, serially in CPU-id order, then credits the CPU's busy
+// time from its shard and records how the segment ended.
 func (k *Kernel) userPhase() {
-	k.M.BeginUserPhase()
-	if k.hostPar {
-		// Launch every pending user segment: each send hands the CPU's
-		// process goroutine its slice of the epoch and returns
-		// immediately, so all segments execute concurrently.
-		for _, c := range k.cpus {
-			if c.slot != nil && c.pend == pendUser {
-				c.slot.runCh <- struct{}{}
-			}
-		}
-		// Join in CPU-id order.
-		for _, c := range k.cpus {
-			if c.slot != nil && c.pend == pendUser {
-				<-c.slot.yldCh
-			}
-		}
-	} else {
-		for _, c := range k.cpus {
-			if c.slot != nil && c.pend == pendUser {
-				c.slot.runCh <- struct{}{}
-				<-c.slot.yldCh
-			}
-		}
-	}
-	// Post-phase bookkeeping, serial in CPU-id order: credit each CPU's
-	// busy time from its shard and record how each segment ended.
+	k.M.Clock.BeginShardPhase(len(k.cpus))
 	for _, c := range k.cpus {
 		if c.slot == nil || c.pend != pendUser {
 			continue
 		}
-		c.busy += k.M.Clock.ShardCycles(c.id)
 		p := c.slot
+		p.runCh <- struct{}{}
+		<-p.yldCh
+		c.busy += k.M.Clock.ShardCycles(c.id)
 		switch p.parkWhy {
 		case parkKernel:
 			c.pend = pendKernel
@@ -189,7 +140,7 @@ func (k *Kernel) userPhase() {
 			panic(fmt.Sprintf("kernel: pid %d parked %d out of a user segment", p.PID, p.parkWhy))
 		}
 	}
-	k.M.EndUserPhase()
+	k.M.Clock.EndShardPhase()
 }
 
 // kernelPhase is the epoch barrier's serial half: every slot that

@@ -5,18 +5,16 @@ import (
 	"strings"
 )
 
-// This file centralizes the validation of the engine-related
-// command-line flags shared by cmd/vgrun, cmd/vgbench and cmd/vgattack.
-// Each command used to parse and cross-check its own flags, which let
-// contradictory combinations slip through with different (or no)
-// diagnostics; ResolveExecFlags is now the single place that refuses
-// them, so every command reports the same clear error.
+// This file centralizes the validation of the execution flags shared
+// by cmd/vgrun, cmd/vgbench and cmd/vgattack. Each command used to
+// parse and cross-check its own flags, which let contradictory
+// combinations slip through with different (or no) diagnostics;
+// ResolveExecFlags is now the single place that refuses them, so every
+// command reports the same clear error.
 
 // ExecFlags carries the raw flag values as the user typed them.
 type ExecFlags struct {
-	Engine   string // -engine: "linked" | "reference" (empty means default)
-	HostPar  bool   // -hostpar
-	CPUs     int    // -cpus (must be at least 1; validated against -hostpar)
+	CPUs     int    // -cpus (must be at least 1)
 	Snapshot string // -snapshot: "save=PATH" | "use=PATH" (empty means off)
 	Replay   bool   // -replay (needs -snapshot use= of a recorded image)
 }
@@ -28,11 +26,8 @@ const (
 	SnapshotUse  = "use"
 )
 
-// ExecConfig is the validated execution configuration. Apply installs
-// it as the package defaults picked up by subsequently booted kernels.
+// ExecConfig is the validated execution configuration.
 type ExecConfig struct {
-	Engine  EngineKind
-	HostPar bool
 	// SnapshotMode is SnapshotOff, SnapshotSave or SnapshotUse;
 	// SnapshotPath is the image path. For SnapshotUse the image file
 	// has already been probed: it exists and its header matches this
@@ -46,30 +41,13 @@ type ExecConfig struct {
 }
 
 // ResolveExecFlags validates the flag combination and resolves it to a
-// configuration. Rejected combinations:
-//
-//   - -cpus below 1: a machine needs at least one CPU;
-//   - -hostpar with -cpus <= 1: host-parallel phases need a multi-CPU
-//     machine;
-//   - unknown engine names.
+// configuration. It rejects -cpus below 1 (a machine needs at least one
+// CPU) and every inconsistent -snapshot/-replay combination.
 func ResolveExecFlags(f ExecFlags) (ExecConfig, error) {
-	var (
-		cfg ExecConfig
-		err error
-	)
-	if f.Engine == "" {
-		f.Engine = "linked"
-	}
-	if cfg.Engine, err = ParseEngine(f.Engine); err != nil {
-		return cfg, err
-	}
+	var cfg ExecConfig
 	if f.CPUs < 1 {
 		return cfg, fmt.Errorf("kernel: -cpus must be at least 1, got %d", f.CPUs)
 	}
-	if f.HostPar && f.CPUs == 1 {
-		return cfg, fmt.Errorf("kernel: -hostpar needs multi-CPU machines; pass -cpus > 1")
-	}
-	cfg.HostPar = f.HostPar
 	if err := resolveSnapshotFlags(f, &cfg); err != nil {
 		return cfg, err
 	}
@@ -107,11 +85,4 @@ func resolveSnapshotFlags(f ExecFlags, cfg *ExecConfig) error {
 		cfg.Replay = true
 	}
 	return nil
-}
-
-// Apply installs the configuration as the package defaults used by
-// subsequently booted kernels (SetDefaultEngine and friends).
-func (c ExecConfig) Apply() {
-	SetDefaultEngine(c.Engine)
-	SetDefaultHostParallel(c.HostPar)
 }

@@ -18,27 +18,12 @@ func TestResolveExecFlags(t *testing.T) {
 		{
 			name: "defaults",
 			in:   ExecFlags{CPUs: 1},
-			want: ExecConfig{Engine: EngineLinked},
+			want: ExecConfig{},
 		},
 		{
-			name: "explicit linked engine",
-			in:   ExecFlags{Engine: "linked", CPUs: 1},
-			want: ExecConfig{Engine: EngineLinked},
-		},
-		{
-			name: "reference engine",
-			in:   ExecFlags{Engine: "reference", CPUs: 1},
-			want: ExecConfig{Engine: EngineReference},
-		},
-		{
-			name: "hostpar multi-cpu",
-			in:   ExecFlags{HostPar: true, CPUs: 4},
-			want: ExecConfig{Engine: EngineLinked, HostPar: true},
-		},
-		{
-			name:    "hostpar single-cpu",
-			in:      ExecFlags{HostPar: true, CPUs: 1},
-			wantErr: "-hostpar needs multi-CPU machines",
+			name: "four cpus",
+			in:   ExecFlags{CPUs: 4},
+			want: ExecConfig{},
 		},
 		{
 			name:    "zero cpus",
@@ -49,11 +34,6 @@ func TestResolveExecFlags(t *testing.T) {
 			name:    "negative cpus",
 			in:      ExecFlags{CPUs: -3},
 			wantErr: "-cpus must be at least 1, got -3",
-		},
-		{
-			name:    "unknown engine",
-			in:      ExecFlags{Engine: "jit", CPUs: 1},
-			wantErr: "unknown engine",
 		},
 	}
 	for _, tc := range cases {
@@ -183,24 +163,6 @@ func TestResolveSnapshotFlags(t *testing.T) {
 					got.SnapshotMode, got.SnapshotPath, got.Replay, tc.wantMode, tc.wantPath, tc.wantRep)
 			}
 		})
-	}
-}
-
-// TestExecConfigApply checks Apply installs (and a second Apply
-// restores) the package defaults kernels boot with.
-func TestExecConfigApply(t *testing.T) {
-	orig := ExecConfig{
-		Engine:  SetDefaultEngine(EngineLinked),
-		HostPar: DefaultHostParallel(),
-	}
-	SetDefaultEngine(orig.Engine)
-	defer orig.Apply()
-
-	cfg := ExecConfig{Engine: EngineReference, HostPar: true}
-	cfg.Apply()
-	if defaultEngine != EngineReference || !DefaultHostParallel() {
-		t.Errorf("Apply did not install defaults: engine=%v hostpar=%v",
-			defaultEngine, DefaultHostParallel())
 	}
 }
 

@@ -169,12 +169,8 @@ type Kernel struct {
 
 	// epochMode is true on multi-CPU machines: the scheduler runs the
 	// deterministic epoch/barrier protocol (epoch.go) instead of the
-	// single-CPU serial loop. hostPar additionally runs each epoch's
-	// user phase on concurrent host goroutines; it changes host
-	// wall-clock only — every virtual number is bit-identical either
-	// way, because the phases execute the same code in the same order.
+	// single-CPU serial loop.
 	epochMode bool
-	hostPar   bool
 
 	stats Stats
 	// sysProf is the per-syscall cycle histogram (see profile.go).
@@ -193,63 +189,10 @@ const (
 	EngineReference
 )
 
-// String names the engine kind as accepted by ParseEngine.
-func (e EngineKind) String() string {
-	if e == EngineReference {
-		return "reference"
-	}
-	return "linked"
-}
-
-// ParseEngine converts a command-line engine name to an EngineKind.
-func ParseEngine(s string) (EngineKind, error) {
-	switch s {
-	case "linked":
-		return EngineLinked, nil
-	case "reference":
-		return EngineReference, nil
-	}
-	return EngineLinked, fmt.Errorf("kernel: unknown engine %q (want linked or reference)", s)
-}
-
-// defaultEngine is the engine new kernels boot with.
-var defaultEngine = EngineLinked
-
-// SetDefaultEngine changes the engine used by subsequently booted
-// kernels and returns the previous default. cmd/vgrun and cmd/vgbench
-// use it to honour their -engine flag.
-func SetDefaultEngine(e EngineKind) EngineKind {
-	old := defaultEngine
-	defaultEngine = e
-	return old
-}
-
-// SetEngine switches this kernel's module execution engine.
+// SetEngine switches this kernel's module execution engine. Kernels
+// boot with EngineLinked; differential tests switch to EngineReference
+// to use the interpreter as the oracle.
 func (k *Kernel) SetEngine(e EngineKind) { k.engineKind = e }
-
-// Engine reports which engine this kernel executes module IR with.
-func (k *Kernel) Engine() EngineKind { return k.engineKind }
-
-// defaultHostParallel is the host-parallelism setting new kernels boot
-// with (see SetDefaultHostParallel).
-var defaultHostParallel = false
-
-// SetDefaultHostParallel changes whether subsequently booted multi-CPU
-// kernels run their epoch user phases on concurrent host goroutines,
-// and returns the previous default. cmd/vgrun, cmd/vgbench and
-// cmd/vgattack use it to honour their -hostpar flag; like
-// SetDefaultEngine it exists so experiment helpers that boot kernels
-// internally (the security matrix, scaling sweeps) pick the mode up
-// without threading a parameter through every constructor.
-func SetDefaultHostParallel(on bool) bool {
-	old := defaultHostParallel
-	defaultHostParallel = on
-	return old
-}
-
-// DefaultHostParallel reports the current package default (what the
-// next Boot will use on a multi-CPU machine).
-func DefaultHostParallel() bool { return defaultHostParallel }
 
 // FusionStats is kept only for the host-cost benchmark, which reads
 // these fields into its vir.* counters. The engine no longer fuses
@@ -275,16 +218,6 @@ type ElisionStats struct {
 
 // ElisionStats always returns zero counters (see the type).
 func (k *Kernel) ElisionStats() ElisionStats { return ElisionStats{} }
-
-// SetHostParallel switches this kernel between serial and host-parallel
-// user phases. It only has an effect on multi-CPU machines (single-CPU
-// kernels never run the epoch scheduler) and is safe to flip between
-// runs; every exported virtual number is identical in both modes.
-func (k *Kernel) SetHostParallel(on bool) { k.hostPar = on }
-
-// HostParallel reports whether epoch user phases run on concurrent
-// host goroutines.
-func (k *Kernel) HostParallel() bool { return k.hostPar }
 
 // Stats counts kernel events for tests and experiment reporting.
 type Stats struct {
@@ -335,7 +268,6 @@ func Boot(hal core.HAL) (*Kernel, error) {
 		programs:     make(map[string]*Program),
 		planted:      make(map[uint64]PlantedFunc),
 		swappedGhost: make(map[int]map[hw.Virt][]byte),
-		engineKind:   defaultEngine,
 		engine:       vir.NewEngine(),
 		refInterps:   make(map[vir.Env]*vir.Interp),
 		modEnvs:      make(map[hw.Frame]vir.Env),
@@ -346,7 +278,6 @@ func Boot(hal core.HAL) (*Kernel, error) {
 	}
 	k.lastCPU = len(k.cpus) - 1 // first schedStep starts at CPU 0
 	k.epochMode = len(k.cpus) > 1
-	k.hostPar = k.epochMode && defaultHostParallel
 	k.installIntrinsics()
 	hal.RegisterFrameSource(frameSource{m: k.M.Mem})
 	hal.RegisterTrapHandler(k.trapEntry)

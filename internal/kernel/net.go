@@ -26,7 +26,7 @@ import (
 // O(1) check of the NIC's pending line plus the wheel's due state, and
 // a drain walks only the ports that actually have frames, in sorted
 // port order, so multi-port handling is deterministic and
-// snapshot/-hostpar safe.
+// snapshot safe.
 
 // Wire packet types.
 const (

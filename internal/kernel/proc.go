@@ -104,8 +104,8 @@ type Proc struct {
 	// onCPU is the CPU this process is currently dispatched on — unlike
 	// cpu (the run-queue home), it names the hw.CPU whose register
 	// file, TLB and clock shard this process's user segments use, so it
-	// must be read instead of M.Cur() on paths that can run during a
-	// parallel user phase. kdepth counts nested kernel entries (a
+	// must be read instead of M.Cur() on paths that can run during the
+	// epoch scheduler's user phase. kdepth counts nested kernel entries (a
 	// signal handler issuing a syscall does not re-park). parkWhy tells
 	// the scheduler why the goroutine last parked; inflight marks the
 	// process as occupying a CPU slot so no second slot can pick it up.
@@ -655,7 +655,7 @@ func (p *Proc) Store(va uint64, size int, v uint64) {
 }
 
 // Compute charges n cycles of pure user computation (on this process's
-// CPU shard during a parallel user phase).
+// CPU shard during the epoch scheduler's user phase).
 func (p *Proc) Compute(cycles uint64) {
 	p.k.M.Clock.ChargeOn(p.onCPU, hw.TagCompute, cycles)
 }

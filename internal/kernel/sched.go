@@ -11,12 +11,9 @@ import (
 // serial loop below runs one process goroutine at a time and nothing
 // else. Multi-CPU machines always run the deterministic epoch/barrier
 // scheduler instead (epoch.go): each epoch every CPU is dispatched one
-// user segment, user segments run either serially in CPU-id order or —
-// with host parallelism enabled — on concurrent host goroutines, and
-// all cross-CPU effects are delivered serially at the epoch barrier in
-// CPU-id order. Both user-phase modes execute identical code in an
-// identical order, so every virtual number is bit-identical; -hostpar
-// changes host wall-clock only.
+// user segment, the segments run in CPU-id order, and all cross-CPU
+// effects are delivered at the epoch barrier in CPU-id order. Either
+// way exactly one process goroutine runs at a time.
 //
 // Virtual parallelism is modeled by attribution: every dispatch
 // samples the clock around the process's time slice and charges it to
@@ -124,14 +121,16 @@ func (k *Kernel) steal(c *cpuRun) *Proc {
 	return nil
 }
 
-// dispatchOn runs one process on CPU c until it yields, blocks, or
-// exits, attributing the elapsed virtual time to c.
-func (k *Kernel) dispatchOn(c *cpuRun, p *Proc) {
+// switchTo is the context switch both schedulers perform to put p on
+// CPU c: select the CPU, deliver its pending IPIs (rescheduling
+// requests from cross-CPU signal posts, whose architectural effect is
+// forcing this trip through the scheduler), count and charge the
+// switch, and load p's thread and address space in user mode. It
+// returns the clock reading before the switch, from which the caller
+// credits c's busy time.
+func (k *Kernel) switchTo(c *cpuRun, p *Proc) (start uint64) {
 	k.M.SetCurrentCPU(c.id)
-	start := k.M.Clock.Cycles()
-	// Pending IPIs (rescheduling requests from cross-CPU signal posts)
-	// are delivered now: their architectural effect is forcing this
-	// trip through the scheduler.
+	start = k.M.Clock.Cycles()
 	k.M.DrainIPIs(c.id)
 	c.lastPID = p.PID
 	k.stats.ContextSwitch++
@@ -143,6 +142,13 @@ func (k *Kernel) dispatchOn(c *cpuRun, p *Proc) {
 	}
 	k.M.Cur().Regs.Priv = hw.User
 	p.onCPU = c.id
+	return start
+}
+
+// dispatchOn runs one process on CPU c until it yields, blocks, or
+// exits, attributing the elapsed virtual time to c.
+func (k *Kernel) dispatchOn(c *cpuRun, p *Proc) {
+	start := k.switchTo(c, p)
 	k.cur = p
 	k.M.Clock.SetContext(int32(p.PID), 0)
 	p.runCh <- struct{}{}

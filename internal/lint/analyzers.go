@@ -10,7 +10,7 @@ import (
 )
 
 // The reproduction's core contract is bit-identical virtual numbers
-// across engines, host-parallel modes, and optimization levels. These
+// across engines, snapshot warm starts, and optimization levels. These
 // analyzers enforce the source-level discipline that keeps the
 // contract checkable:
 //

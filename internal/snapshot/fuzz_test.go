@@ -23,14 +23,14 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		const phases = 2
 		snap := int(snapB) % phases
 
-		cold := newSys(t, mode, 1, false)
+		cold := newSys(t, mode, 1)
 		for i := 0; i < phases; i++ {
 			runPhase(t, cold, i)
 		}
 		want := fingerprint(t, cold)
 		wantCycles := cold.Machine.Clock.Cycles()
 
-		src := newSys(t, mode, 1, false)
+		src := newSys(t, mode, 1)
 		for i := 0; i < snap; i++ {
 			runPhase(t, src, i)
 		}
@@ -55,7 +55,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst := newSys(t, mode, 1, false)
+		dst := newSys(t, mode, 1)
 		if err := Restore(dst, img2); err != nil {
 			t.Fatal(err)
 		}

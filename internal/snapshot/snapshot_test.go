@@ -17,16 +17,13 @@ import (
 	"repro/internal/vir"
 )
 
-func sysOpts(cpus int, hostpar bool) repro.Options {
-	return repro.Options{
-		Machine:      hw.MachineConfig{NumCPUs: cpus},
-		HostParallel: hostpar,
-	}
+func sysOpts(cpus int) repro.Options {
+	return repro.Options{Machine: hw.MachineConfig{NumCPUs: cpus}}
 }
 
-func newSys(t testing.TB, mode core.Mode, cpus int, hostpar bool) *repro.System {
+func newSys(t testing.TB, mode core.Mode, cpus int) *repro.System {
 	t.Helper()
-	sys, err := repro.NewSystemWithOptions(mode, sysOpts(cpus, hostpar))
+	sys, err := repro.NewSystemWithOptions(mode, sysOpts(cpus))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,24 +138,23 @@ func fingerprint(t testing.TB, sys *repro.System) []byte {
 // remaining workload in a state byte-identical to the uninterrupted
 // run — same cycles, same ledger, same memory, same kernel structures.
 // The snap points include the freshly-booted machine and, on the SMP
-// configs, epoch barriers of the host-parallel scheduler.
+// configs, epoch barriers of the epoch scheduler.
 func TestRoundTripBitIdentical(t *testing.T) {
 	const phases = 3
 	cfgs := []struct {
-		name    string
-		mode    core.Mode
-		cpus    int
-		hostpar bool
+		name string
+		mode core.Mode
+		cpus int
 	}{
-		{"native-1cpu", core.ModeNative, 1, false},
-		{"vg-1cpu", core.ModeVirtualGhost, 1, false},
-		{"shadow-1cpu", core.ModeShadow, 1, false},
-		{"native-4cpu-hostpar", core.ModeNative, 4, true},
-		{"vg-4cpu-hostpar", core.ModeVirtualGhost, 4, true},
+		{"native-1cpu", core.ModeNative, 1},
+		{"vg-1cpu", core.ModeVirtualGhost, 1},
+		{"shadow-1cpu", core.ModeShadow, 1},
+		{"native-4cpu", core.ModeNative, 4},
+		{"vg-4cpu", core.ModeVirtualGhost, 4},
 	}
 	for _, c := range cfgs {
 		t.Run(c.name, func(t *testing.T) {
-			cold := newSys(t, c.mode, c.cpus, c.hostpar)
+			cold := newSys(t, c.mode, c.cpus)
 			for i := 0; i < phases; i++ {
 				runPhase(t, cold, i)
 			}
@@ -167,7 +163,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 			wantLedger := cold.Machine.Clock.Ledger()
 
 			for snap := 0; snap < phases; snap++ {
-				src := newSys(t, c.mode, c.cpus, c.hostpar)
+				src := newSys(t, c.mode, c.cpus)
 				for i := 0; i < snap; i++ {
 					runPhase(t, src, i)
 				}
@@ -184,7 +180,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 					t.Fatalf("snap point %d: decode: %v", snap, err)
 				}
 
-				dst := newSys(t, c.mode, c.cpus, c.hostpar)
+				dst := newSys(t, c.mode, c.cpus)
 				if err := Restore(dst, img2); err != nil {
 					t.Fatalf("snap point %d: restore: %v", snap, err)
 				}
@@ -211,7 +207,7 @@ func TestRoundTripBitIdentical(t *testing.T) {
 func TestForkCOW(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeNative, core.ModeVirtualGhost} {
 		t.Run(mode.String(), func(t *testing.T) {
-			src := newSys(t, mode, 1, false)
+			src := newSys(t, mode, 1)
 			runPhase(t, src, 0)
 			img, err := Capture(src)
 			if err != nil {
@@ -224,7 +220,7 @@ func TestForkCOW(t *testing.T) {
 
 			forks := make([]*repro.System, 3)
 			for i := range forks {
-				forks[i], err = Fork(img, sysOpts(1, false))
+				forks[i], err = Fork(img, sysOpts(1))
 				if err != nil {
 					t.Fatalf("fork %d: %v", i, err)
 				}
@@ -257,7 +253,7 @@ func TestForkCOW(t *testing.T) {
 
 			// A restore onto a fresh machine runs the same schedule as a
 			// fork.
-			dst := newSys(t, mode, 1, false)
+			dst := newSys(t, mode, 1)
 			if err := Restore(dst, img); err != nil {
 				t.Fatal(err)
 			}
@@ -280,7 +276,7 @@ entry:
 }
 `
 	withModule := func(t *testing.T) *repro.System {
-		sys := newSys(t, core.ModeNative, 1, false)
+		sys := newSys(t, core.ModeNative, 1)
 		m, err := vir.ParseModule(extraSrc)
 		if err != nil {
 			t.Fatal(err)
@@ -296,7 +292,7 @@ entry:
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := newSys(t, core.ModeNative, 1, false)
+	plain := newSys(t, core.ModeNative, 1)
 	if err := Restore(plain, img); !errors.Is(err, kernel.ErrSnapshotStale) {
 		t.Fatalf("restore onto kernel missing a module: got %v, want ErrSnapshotStale", err)
 	}
@@ -318,7 +314,7 @@ entry:
 
 // TestNotQuiescent: live processes cannot be snapshotted.
 func TestNotQuiescent(t *testing.T) {
-	sys := newSys(t, core.ModeNative, 1, false)
+	sys := newSys(t, core.ModeNative, 1)
 	if _, err := sys.Kernel.Spawn("spinner", func(p *kernel.Proc) {
 		p.Compute(1_000)
 	}); err != nil {
@@ -335,11 +331,11 @@ func TestNotQuiescent(t *testing.T) {
 
 // TestModeMismatch: an image restores only onto its own mode.
 func TestModeMismatch(t *testing.T) {
-	img, err := Capture(newSys(t, core.ModeNative, 1, false))
+	img, err := Capture(newSys(t, core.ModeNative, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Restore(newSys(t, core.ModeVirtualGhost, 1, false), img); err == nil {
+	if err := Restore(newSys(t, core.ModeVirtualGhost, 1), img); err == nil {
 		t.Fatal("native image restored onto a Virtual Ghost machine")
 	}
 }
@@ -349,7 +345,7 @@ func TestModeMismatch(t *testing.T) {
 // truncates it at every interesting boundary; Decode must reject every
 // mutation with ErrCorruptImage before touching any state.
 func TestCorruptImageRejected(t *testing.T) {
-	sys := newSys(t, core.ModeVirtualGhost, 1, false)
+	sys := newSys(t, core.ModeVirtualGhost, 1)
 	runPhase(t, sys, 0)
 	data := fingerprint(t, sys)
 	if _, err := Decode(data); err != nil {
@@ -383,7 +379,7 @@ func TestCorruptImageRejected(t *testing.T) {
 // TestVersionMismatch: a well-checksummed image from a different format
 // version is refused by the header check, distinctly from corruption.
 func TestVersionMismatch(t *testing.T) {
-	data := fingerprint(t, newSys(t, core.ModeNative, 1, false))
+	data := fingerprint(t, newSys(t, core.ModeNative, 1))
 	body := append([]byte(nil), data[:len(data)-checksumSize]...)
 	body[8] = byte(kernel.SnapshotImageVersion + 1) // version field, LE
 	sum := sha256.Sum256(body)
@@ -399,7 +395,7 @@ func TestVersionMismatch(t *testing.T) {
 // draw-for-draw without advancing the PRNG, falls back to the PRNG when
 // exhausted, and re-injects packets at their recorded virtual times.
 func TestRecordReplay(t *testing.T) {
-	sys := newSys(t, core.ModeNative, 1, false)
+	sys := newSys(t, core.ModeNative, 1)
 	rec := StartRecording(sys)
 	var drawn []uint64
 	if _, err := sys.Kernel.Spawn("drawer", func(p *kernel.Proc) {
@@ -421,7 +417,7 @@ func TestRecordReplay(t *testing.T) {
 
 	// Replay synthetic draws into a fresh machine; a twin without the
 	// replay source shows where the untouched PRNG sequence resumes.
-	twin := newSys(t, core.ModeNative, 1, false)
+	twin := newSys(t, core.ModeNative, 1)
 	t1 := twin.Machine.RNG.Next()
 
 	rp := StartReplay(newTestReplaySys(t), &Record{
@@ -462,13 +458,13 @@ func TestRecordReplay(t *testing.T) {
 
 func newTestReplaySys(t *testing.T) *repro.System {
 	t.Helper()
-	return newSys(t, core.ModeNative, 1, false)
+	return newSys(t, core.ModeNative, 1)
 }
 
 // TestRecordedImageRoundTrip: the record trailer travels in the image
 // and sets the header's recorded flag.
 func TestRecordedImageRoundTrip(t *testing.T) {
-	sys := newSys(t, core.ModeNative, 1, false)
+	sys := newSys(t, core.ModeNative, 1)
 	rec := StartRecording(sys)
 	runPhase(t, sys, 0)
 	img, err := Capture(sys)

@@ -61,10 +61,6 @@ type Options struct {
 	// SharedClock, when non-nil, makes this machine tick the same
 	// virtual clock as another (for multi-machine experiments).
 	SharedClock *hw.Clock
-	// HostParallel runs epoch user phases on concurrent host
-	// goroutines (multi-CPU machines only). Host wall-clock changes;
-	// every virtual number stays bit-identical to the serial schedule.
-	HostParallel bool
 }
 
 // NewSystem boots a system in the given mode with default options.
@@ -113,9 +109,6 @@ func NewSystemWithOptions(mode Mode, opts Options) (*System, error) {
 	k, err := kernel.Boot(hal)
 	if err != nil {
 		return nil, err
-	}
-	if opts.HostParallel {
-		k.SetHostParallel(true)
 	}
 	return &System{Mode: mode, Machine: m, HAL: hal, Kernel: k}, nil
 }

@@ -23,17 +23,10 @@ import (
 // and justify the new numbers in the commit message.
 func TestGoldenSMP(t *testing.T) {
 	const path = "testdata/golden_smp.json"
-	got := make(map[string]string)
-	for run := 0; run < 2; run++ {
-		cur := collectGoldenSMP(t)
-		if run == 0 {
-			got = cur
-			continue
-		}
-		for name, fp := range cur {
-			if fp != got[name] {
-				t.Fatalf("%s is not reproducible:\n--- run 1\n%s--- run 2\n%s", name, got[name], fp)
-			}
+	got := collectGoldenSMP(t)
+	for name, fp := range collectGoldenSMP(t) {
+		if fp != got[name] {
+			t.Fatalf("%s is not reproducible:\n--- run 1\n%s--- run 2\n%s", name, got[name], fp)
 		}
 	}
 

@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/vir"
 )
@@ -20,6 +21,11 @@ import (
 //
 //go:embed spyware.vir
 var moduleSource string
+
+// sysPeek is an unused syscall number the module's loader hooks, the
+// way the rootkit module interposes on read(), so the module runs in
+// kernel context on the calling process's behalf.
+const sysPeek = 600
 
 func main() {
 	mod, err := vir.ParseModule(moduleSource)
@@ -42,6 +48,13 @@ func main() {
 		fmt.Printf("\n=== %v translation ===\n%s", mode, vir.Format(f))
 
 		// Run it against an application secret.
+		k.SetSyscallHandler(sysPeek, func(k *kernel.Kernel, p *kernel.Proc, ic core.IContext) uint64 {
+			v, err := k.RunModuleFunc(loaded, "peek", ic.Arg(0))
+			if err != nil {
+				panic(err)
+			}
+			return v
+		})
 		var got uint64
 		if _, err := k.Spawn("victim", func(p *kernel.Proc) {
 			va, err := p.AllocGM(1)
@@ -49,11 +62,7 @@ func main() {
 				panic(err)
 			}
 			p.Store(uint64(va), 8, 0x5ec23e7)
-			v, err := k.RunModuleFunc(loaded, "peek", uint64(va))
-			if err != nil {
-				panic(err)
-			}
-			got = v
+			got = p.Syscall(sysPeek, uint64(va))
 		}); err != nil {
 			panic(err)
 		}

@@ -7,15 +7,26 @@ import (
 	"fmt"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 	"repro/internal/libc"
 )
 
+// sysSteal is an unused syscall number the hostile kernel hooks, the
+// way a rootkit module interposes on read().
+const sysSteal = 600
+
 func main() {
 	for _, mode := range []repro.Mode{repro.Native, repro.VirtualGhost} {
 		sys := repro.MustNewSystem(mode)
 		k := sys.Kernel
+		// The hook "reads" the address it is handed, as a rootkit's
+		// compiled load instruction would.
+		k.SetSyscallHandler(sysSteal, func(k *kernel.Kernel, p *kernel.Proc, ic core.IContext) uint64 {
+			stolen, _ := k.HAL.KLoad(p.Root(), hw.Virt(ic.Arg(0)), 8)
+			return stolen
+		})
 
 		var secretVA uint64
 		if _, err := k.Spawn("app", func(p *kernel.Proc) {
@@ -32,9 +43,9 @@ func main() {
 			l.WriteGhost(ptr, []byte("launch codes: 0000"))
 			secretVA = uint64(ptr)
 
-			// The kernel now "reads" that address, as a rootkit's
-			// compiled load instruction would.
-			stolen, _ := k.HAL.KLoad(p.Root(), hw.Virt(secretVA), 8)
+			// Any system call now hands the kernel the chance to read
+			// that address.
+			stolen := p.Syscall(sysSteal, secretVA)
 			fmt.Printf("[%-12v] kernel load of ghost address %#x -> %#016x\n",
 				mode, secretVA, stolen)
 		}); err != nil {

@@ -134,9 +134,12 @@ type Clock struct {
 	// into per-CPU shards instead of the global counters, so each CPU's
 	// user segment advances only its own view of time. EndShardPhase
 	// merges the shards in CPU-id order; totals are sums of charges, so
-	// the merged ledger depends only on what each CPU charged.
+	// the merged ledger depends only on what each CPU charged. Inside
+	// the phase the selected CPU (SetCPU) picks whose view Cycles
+	// returns; EndShardPhase restores the selection made before it.
 	sharding  bool
 	shardBase uint64 // global cycles at BeginShardPhase (view origin)
+	shardCPU  int    // CPU selected at BeginShardPhase
 	shards    []clockShard
 
 	// idleSources are the kernels sharing this clock. When every source
@@ -198,8 +201,16 @@ type clockShard struct {
 	ring traceRing
 }
 
-// Cycles returns the current virtual time in cycles.
-func (c *Clock) Cycles() uint64 { return c.cycles }
+// Cycles returns the current virtual time in cycles. During a shard
+// phase it is the selected CPU's own view — the global time at
+// BeginShardPhase plus that CPU's shard — which is what a per-CPU TSC
+// reads in the middle of the CPU's user segment.
+func (c *Clock) Cycles() uint64 {
+	if c.sharding {
+		return c.shardBase + c.shards[c.cpu].cycles
+	}
+	return c.cycles
+}
 
 // Charge advances the clock by n cycles attributed to tag. This is the
 // single entry point through which all simulated time passes.
@@ -268,8 +279,11 @@ func (c *Clock) BeginShardPhase(n int) {
 		panic("hw: BeginShardPhase while already sharding")
 	}
 	c.EnsureCPUs(n)
-	c.growShards(n)
-	for i := 0; i < n; i++ {
+	c.growShards(max(n, c.cpu+1))
+	// Every shard restarts, not only the first n: on a clock shared
+	// with a larger machine the rest still hold that machine's last
+	// phase, and EndShardPhase merges them all.
+	for i := range c.shards {
 		s := &c.shards[i]
 		s.cycles = 0
 		s.ledger = Ledger{}
@@ -278,6 +292,7 @@ func (c *Clock) BeginShardPhase(n int) {
 		}
 	}
 	c.shardBase = c.cycles
+	c.shardCPU = c.cpu
 	c.sharding = true
 }
 
@@ -291,6 +306,7 @@ func (c *Clock) EndShardPhase() {
 		panic("hw: EndShardPhase without BeginShardPhase")
 	}
 	c.sharding = false
+	c.cpu = c.shardCPU
 	for i := range c.shards {
 		s := &c.shards[i]
 		if s.cycles == 0 && c.tracer == nil {

@@ -127,9 +127,9 @@ type Kernel struct {
 
 	procs    map[int]*Proc
 	nextPID  int
-	cpus     []*cpuRun // per-CPU run queues (see sched.go)
-	lastCPU  int       // round-robin cursor over cpus
-	cur      *Proc
+	cpus     []*cpuRun  // per-CPU run queues (see sched.go)
+	sched    schedState // the epoch loop's position (see epoch.go)
+	cur      *Proc      // the process in a kernel segment, if any
 	syscalls map[uint64]SyscallHandler
 	modules  []*Module
 	coreMod  *Module
@@ -166,11 +166,6 @@ type Kernel struct {
 	// intrinsics is the kernel-service linkage table for module code,
 	// built once at boot (see modintr.go).
 	intrinsics map[string]IntrinsicHandler
-
-	// epochMode is true on multi-CPU machines: the scheduler runs the
-	// deterministic epoch/barrier protocol (epoch.go) instead of the
-	// single-CPU serial loop.
-	epochMode bool
 
 	stats Stats
 	// sysProf is the per-syscall cycle histogram (see profile.go).
@@ -276,8 +271,7 @@ func Boot(hal core.HAL) (*Kernel, error) {
 	for i := range k.cpus {
 		k.cpus[i] = &cpuRun{id: i}
 	}
-	k.lastCPU = len(k.cpus) - 1 // first schedStep starts at CPU 0
-	k.epochMode = len(k.cpus) > 1
+	k.sched.wake = make(chan struct{}, 1)
 	k.installIntrinsics()
 	hal.RegisterFrameSource(frameSource{m: k.M.Mem})
 	hal.RegisterTrapHandler(k.trapEntry)
@@ -427,9 +421,6 @@ func (k *Kernel) Console() *hw.Console { return k.M.Console }
 
 // Stats returns a copy of the kernel counters.
 func (k *Kernel) Stats() Stats { return k.stats }
-
-// Current returns the currently scheduled process (nil if none).
-func (k *Kernel) Current() *Proc { return k.cur }
 
 // Module is a loaded kernel module: its translation plus the
 // interpreter environment it executes in.

@@ -202,7 +202,9 @@ func TestKernelCannotReadGhost(t *testing.T) {
 			p.Store(uint64(va), 8, 0xdeadbeefcafef00d)
 			// Enter the kernel; the "kernel code" below models a
 			// compiled kernel load of the ghost address.
+			p.enterKernel()
 			kernelSaw, _ = k.HAL.KLoad(p.Root(), ghostVA, 8)
+			p.exitKernel()
 		})
 		if err != nil {
 			t.Fatalf("Spawn: %v", err)

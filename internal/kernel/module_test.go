@@ -146,7 +146,9 @@ func TestModuleCurPidIntrinsic(t *testing.T) {
 	if _, err := k.Spawn("host", func(p *Proc) {
 		// Run the module from process context (as a syscall handler
 		// would).
+		p.enterKernel()
 		v, err := k.RunModuleFunc(mod, "whoami")
+		p.exitKernel()
 		if err != nil {
 			t.Errorf("whoami: %v", err)
 		}
@@ -183,7 +185,9 @@ func TestModuleGhostAccessSemantics(t *testing.T) {
 				t.Fatalf("allocgm: %v", err)
 			}
 			p.Store(uint64(va), 8, 0x1234567890abcdef)
+			p.enterKernel()
 			v, err := k.RunModuleFunc(mod, "peek8", uint64(va))
+			p.exitKernel()
 			if err != nil {
 				t.Fatalf("[%v] peek: %v", mode, err)
 			}
@@ -260,7 +264,10 @@ func TestKernelCoreModuleIsInstrumentedUnderVG(t *testing.T) {
 		va, _ := p.AllocGM(1)
 		p.Store(uint64(va), 8, 0x5ec5ec5ec)
 		// kmemset over the victim's ghost page from kernel context:
-		if err := k.KMemset(uint64(va), 0xff, 8); err != nil {
+		p.enterKernel()
+		err := k.KMemset(uint64(va), 0xff, 8)
+		p.exitKernel()
+		if err != nil {
 			t.Fatalf("kmemset: %v", err)
 		}
 		leaked = p.Load(uint64(va), 8) != 0x5ec5ec5ec

@@ -95,20 +95,19 @@ type Proc struct {
 	cpu int
 
 	state  procState
-	cond   func() bool // block predicate while procBlocked
-	runCh  chan struct{}
-	yldCh  chan struct{}
+	cond   func() bool   // block predicate while procBlocked
+	wake   chan struct{} // resumes the process goroutine (Proc.park)
 	mainFn func(p *Proc)
 
-	// Epoch-scheduler state (epoch.go; unused on single-CPU machines).
-	// onCPU is the CPU this process is currently dispatched on — unlike
-	// cpu (the run-queue home), it names the hw.CPU whose register
-	// file, TLB and clock shard this process's user segments use, so it
-	// must be read instead of M.Cur() on paths that can run during the
-	// epoch scheduler's user phase. kdepth counts nested kernel entries (a
-	// signal handler issuing a syscall does not re-park). parkWhy tells
-	// the scheduler why the goroutine last parked; inflight marks the
-	// process as occupying a CPU slot so no second slot can pick it up.
+	// Epoch-scheduler state (epoch.go). onCPU is the CPU this process
+	// is currently dispatched on — unlike cpu (the run-queue home), it
+	// names the hw.CPU whose register file, TLB and clock shard this
+	// process's user segments use, so it must be read instead of
+	// M.Cur() on paths that can run during the epoch scheduler's user
+	// phase. kdepth counts nested kernel entries (a signal handler
+	// issuing a syscall does not re-park). parkWhy tells the scheduler
+	// why the goroutine last parked; inflight marks the process as
+	// occupying a CPU slot so no second slot can pick it up.
 	onCPU    int
 	kdepth   int
 	parkWhy  parkReason
@@ -190,8 +189,7 @@ func (k *Kernel) newProc(name string, parent *Proc, main func(p *Proc)) (*Proc, 
 		tid:         core.ThreadID(pid),
 		root:        root,
 		state:       procEmbryo,
-		runCh:       make(chan struct{}),
-		yldCh:       make(chan struct{}),
+		wake:        make(chan struct{}, 1),
 		mainFn:      main,
 		parent:      parent,
 		children:    make(map[int]*Proc),
@@ -263,7 +261,17 @@ func (p *Proc) start() {
 // handling the exec/exit unwind sentinels, and finally parks the
 // process as a zombie.
 func (p *Proc) top() {
-	<-p.runCh
+	<-p.wake
+	// Final park: the process is a zombie and its goroutine ends, so
+	// the machine passes on for good. Deferred so that a
+	// runtime.Goexit in the image (t.Fatal in a test's process body)
+	// hands the machine back too instead of stranding RunUntil's
+	// caller.
+	defer func() {
+		p.state = procZombie
+		p.parkWhy = parkEnd
+		p.k.handoff(p.k.next())
+	}()
 	for {
 		action := p.runImage()
 		if action == execSentinel && p.execNext != nil {
@@ -275,16 +283,12 @@ func (p *Proc) top() {
 	}
 	// If the image returned without exit(), perform a normal exit. The
 	// teardown is kernel work (it frees frames and scrubs ghost pages),
-	// so it runs as a kernel segment on epoch-scheduled machines.
+	// so it runs as a kernel segment.
 	if p.state != procZombie {
 		p.enterKernel()
 		p.sysExitInternal(p.exitCode)
 		p.exitKernel()
 	}
-	// Final yield: hand the CPU back to the scheduler forever.
-	p.state = procZombie
-	p.parkWhy = parkEnd
-	p.yldCh <- struct{}{}
 }
 
 // runImage runs the current program image, converting unwind panics
@@ -307,52 +311,55 @@ func (p *Proc) runImage() (s procSentinel) {
 // --- scheduler-facing internals ---------------------------------------
 
 // parkReason tells the scheduler why a process goroutine handed back
-// control (only consulted by the epoch scheduler, epoch.go).
+// control (epoch.go settle).
 type parkReason uint8
 
 const (
 	// parkEnd: the dispatch is over — the process yielded, blocked, or
 	// became a zombie. Its CPU slot is freed.
 	parkEnd parkReason = iota
-	// parkKernel: user code reached a HAL entry (syscall, trap, ghost
-	// or key operation) and wants a kernel segment. The process stays
-	// in its slot; the serial kernel phase resumes it at the barrier.
-	parkKernel
-	// parkUserResume: the kernel segment finished; the process wants to
-	// continue user execution in the next epoch's user phase.
-	parkUserResume
+	// parkCross: the process crosses the user/kernel boundary — user
+	// code reached a HAL entry, or its kernel segment finished — and
+	// keeps its CPU slot; the other phase of the epoch resumes it.
+	parkCross
 )
 
-// enterKernel marks the transition from user execution into kernel/HAL
-// work. On an epoch-scheduled machine (NumCPUs > 1) the goroutine
-// parks until the serial kernel phase at the epoch barrier resumes it,
-// so kernel work — shared clock, shared kernel state, IPIs, TLB
-// shootdowns — never runs concurrently with another CPU's user
-// segment. Nested entries (a signal handler issuing a syscall inside a
-// kernel segment) do not re-park. On single-CPU machines this is a
-// counter increment and nothing else.
-func (p *Proc) enterKernel() {
-	p.kdepth++
-	if p.kdepth > 1 || !p.k.epochMode {
+// park ends the process's current segment for the reason why and runs
+// the scheduler's step function on this goroutine. If the next segment
+// is this process's own, park returns at once; otherwise it hands the
+// machine to that process (or back to the RunUntil caller when the run
+// is over) and waits to be resumed.
+func (p *Proc) park(why parkReason) {
+	p.parkWhy = why
+	next := p.k.next()
+	if next == p {
 		return
 	}
-	p.parkWhy = parkKernel
-	p.yldCh <- struct{}{}
-	<-p.runCh
+	p.k.handoff(next)
+	<-p.wake
 }
 
-// exitKernel closes the outermost kernel entry. On an epoch-scheduled
-// machine the goroutine parks until the next epoch's user phase
-// resumes it (user execution must not continue inside the serial
-// kernel phase).
+// enterKernel marks the transition from user execution into kernel/HAL
+// work. The process parks until the serial kernel phase at the epoch
+// barrier resumes it, so kernel work — shared clock, shared kernel
+// state, IPIs, TLB shootdowns — never runs inside a user segment.
+// Nested entries (a signal handler issuing a syscall inside a kernel
+// segment) do not re-park.
+func (p *Proc) enterKernel() {
+	p.kdepth++
+	if p.kdepth == 1 {
+		p.park(parkCross)
+	}
+}
+
+// exitKernel closes the outermost kernel entry: the process parks until
+// the next epoch's user phase resumes it (user execution must not
+// continue inside the serial kernel phase).
 func (p *Proc) exitKernel() {
 	p.kdepth--
-	if p.kdepth > 0 || !p.k.epochMode {
-		return
+	if p.kdepth == 0 {
+		p.park(parkCross)
 	}
-	p.parkWhy = parkUserResume
-	p.yldCh <- struct{}{}
-	<-p.runCh
 }
 
 // block parks the process until cond becomes true. Must be called on
@@ -364,9 +371,7 @@ func (p *Proc) block(cond func() bool) {
 	}
 	p.state = procBlocked
 	p.cond = cond
-	p.parkWhy = parkEnd
-	p.yldCh <- struct{}{}
-	<-p.runCh
+	p.park(parkEnd)
 	p.state = procRunning
 	p.checkKilled()
 }
@@ -374,9 +379,7 @@ func (p *Proc) block(cond func() bool) {
 // yield voluntarily gives up the CPU.
 func (p *Proc) yield() {
 	p.state = procRunnable
-	p.parkWhy = parkEnd
-	p.yldCh <- struct{}{}
-	<-p.runCh
+	p.park(parkEnd)
 	p.state = procRunning
 	p.checkKilled()
 }

@@ -7,13 +7,12 @@ import (
 )
 
 // This file is the scheduler: per-CPU round-robin run queues over
-// cooperative process goroutines. On a single-CPU machine the original
-// serial loop below runs one process goroutine at a time and nothing
-// else. Multi-CPU machines always run the deterministic epoch/barrier
-// scheduler instead (epoch.go): each epoch every CPU is dispatched one
-// user segment, the segments run in CPU-id order, and all cross-CPU
-// effects are delivered at the epoch barrier in CPU-id order. Either
-// way exactly one process goroutine runs at a time.
+// cooperative process goroutines, driven on every machine by the
+// deterministic epoch/barrier loop of epoch.go. Each epoch every CPU is
+// dispatched one user segment, the segments run in CPU-id order, and
+// all cross-CPU effects are delivered at the epoch barrier in CPU-id
+// order. Exactly one goroutine — a process or the RunUntil caller —
+// runs at a time.
 //
 // Virtual parallelism is modeled by attribution: every dispatch
 // samples the clock around the process's time slice and charges it to
@@ -29,10 +28,9 @@ type cpuRun struct {
 	lastPID int   // last dispatched PID (round-robin cursor)
 	busy    uint64
 
-	// Epoch-scheduler slot state (epoch.go): the process currently
-	// pinned to this CPU, and which phase resumes it next.
+	// slot is the process pinned to this CPU by the epoch scheduler
+	// (epoch.go), until its dispatch ends.
 	slot *Proc
-	pend pendKind
 }
 
 // insertPID adds pid to the sorted queue.
@@ -121,13 +119,12 @@ func (k *Kernel) steal(c *cpuRun) *Proc {
 	return nil
 }
 
-// switchTo is the context switch both schedulers perform to put p on
-// CPU c: select the CPU, deliver its pending IPIs (rescheduling
-// requests from cross-CPU signal posts, whose architectural effect is
-// forcing this trip through the scheduler), count and charge the
-// switch, and load p's thread and address space in user mode. It
-// returns the clock reading before the switch, from which the caller
-// credits c's busy time.
+// switchTo is the context switch that puts p on CPU c: select the
+// CPU, deliver its pending IPIs (rescheduling requests from cross-CPU
+// signal posts, whose architectural effect is forcing this trip
+// through the scheduler), count and charge the switch, and load p's
+// thread and address space in user mode. It returns the clock reading
+// before the switch, from which the caller credits c's busy time.
 func (k *Kernel) switchTo(c *cpuRun, p *Proc) (start uint64) {
 	k.M.SetCurrentCPU(c.id)
 	start = k.M.Clock.Cycles()
@@ -143,76 +140,6 @@ func (k *Kernel) switchTo(c *cpuRun, p *Proc) (start uint64) {
 	k.M.Cur().Regs.Priv = hw.User
 	p.onCPU = c.id
 	return start
-}
-
-// dispatchOn runs one process on CPU c until it yields, blocks, or
-// exits, attributing the elapsed virtual time to c.
-func (k *Kernel) dispatchOn(c *cpuRun, p *Proc) {
-	start := k.switchTo(c, p)
-	k.cur = p
-	k.M.Clock.SetContext(int32(p.PID), 0)
-	p.runCh <- struct{}{}
-	<-p.yldCh
-	k.cur = nil
-	k.M.Clock.SetContext(0, 0)
-	c.busy += k.M.Clock.Cycles() - start
-}
-
-// schedStep advances the machine by one dispatch: CPUs are offered the
-// chance to run in round-robin order starting after the CPU that
-// dispatched last; a CPU with an empty queue tries to steal. Reports
-// whether any process ran.
-func (k *Kernel) schedStep() bool {
-	n := len(k.cpus)
-	for i := 0; i < n; i++ {
-		id := (k.lastCPU + 1 + i) % n
-		c := k.cpus[id]
-		p := k.pickNextOn(c)
-		if p == nil && n > 1 {
-			p = k.steal(c)
-		}
-		if p == nil {
-			continue
-		}
-		k.lastCPU = id
-		k.dispatchOn(c, p)
-		return true
-	}
-	return false
-}
-
-// RunUntilIdle schedules processes until none is runnable (all blocked,
-// zombies, or no processes left) and no armed timer can unblock one.
-// Network input is polled between dispatches so packets from a peer
-// machine wake blocked readers; when everything is blocked on timers,
-// virtual time skips to the next expiry (idleAdvance) instead of
-// busy-spinning.
-func (k *Kernel) RunUntilIdle() {
-	if k.epochMode {
-		k.runEpochs(nil)
-		return
-	}
-	for {
-		k.Net.Poll()
-		if !k.schedStep() && !k.idleAdvance() {
-			return
-		}
-	}
-}
-
-// RunUntil schedules until the predicate becomes true or the kernel
-// goes idle. It reports whether the predicate was satisfied.
-func (k *Kernel) RunUntil(done func() bool) bool {
-	if k.epochMode {
-		return k.runEpochs(done)
-	}
-	for !done() {
-		k.Net.Poll()
-		if !k.schedStep() && !k.idleAdvance() {
-			return done()
-		}
-	}
-	return true
 }
 
 // IdleInfo implements hw.IdleSource: the earliest armed network timer

@@ -113,7 +113,6 @@ type NetSnap struct {
 // KernelSnap is the serializable kernel state at a quiescent point.
 type KernelSnap struct {
 	NextPID      int                `json:"next_pid"`
-	LastCPU      int                `json:"last_cpu"`
 	CPUs         []CPURunSnap       `json:"cpus"`
 	Stats        Stats              `json:"stats"`
 	SysProf      []SyscallCycles    `json:"sys_prof,omitempty"`
@@ -197,7 +196,6 @@ func (k *Kernel) CaptureKernelSnap() (*KernelSnap, error) {
 	}
 	s := &KernelSnap{
 		NextPID: k.nextPID,
-		LastCPU: k.lastCPU,
 		Stats:   k.stats,
 		ModLog:  append([]byte(nil), k.modLogBuf...),
 		Net: NetSnap{
@@ -255,7 +253,6 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 		return err
 	}
 	k.nextPID = s.NextPID
-	k.lastCPU = s.LastCPU
 	k.cur = nil
 	clear(k.procs)
 	for i, c := range k.cpus {
@@ -263,7 +260,6 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 		c.lastPID = s.CPUs[i].LastPID
 		c.busy = s.CPUs[i].Busy
 		c.slot = nil
-		c.pend = pendNone
 	}
 	k.stats = s.Stats
 	k.sysProf = make(map[uint64]*SyscallCycles, len(s.SysProf))

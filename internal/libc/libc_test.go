@@ -48,6 +48,20 @@ func runGhosting(t *testing.T, k *kernel.Kernel, body func(p *kernel.Proc, l *Li
 	k.RunUntilIdle()
 }
 
+// sysHostile is an unused syscall number the tests hook with
+// SetSyscallHandler, the way the rootkit module interposes on read().
+const sysHostile = 600
+
+// asKernel runs fn as the hostile kernel's code: from a handler on
+// sysHostile, entered through p's system call.
+func asKernel(p *kernel.Proc, fn func()) {
+	p.Kernel().SetSyscallHandler(sysHostile, func(*kernel.Kernel, *kernel.Proc, core.IContext) uint64 {
+		fn()
+		return 0
+	})
+	p.Syscall(sysHostile)
+}
+
 func TestGhostMallocRoundTrip(t *testing.T) {
 	k := bootVG(t)
 	runGhosting(t, k, func(p *kernel.Proc, l *Libc) {
@@ -247,7 +261,8 @@ func TestSecureFileRoundTripAndTamper(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The on-disk bytes are ciphertext.
-		raw, _ := k.ReadKernelFile("/s.sealed")
+		var raw []byte
+		asKernel(p, func() { raw, _ = k.ReadKernelFile("/s.sealed") })
 		if bytes.Contains(raw, secret) {
 			t.Errorf("sealed file contains plaintext")
 		}
@@ -257,7 +272,7 @@ func TestSecureFileRoundTripAndTamper(t *testing.T) {
 		}
 		// Hostile OS tampers; the next read must fail.
 		raw[len(raw)-1] ^= 1
-		k.WriteKernelFile("/s.sealed", raw)
+		asKernel(p, func() { k.WriteKernelFile("/s.sealed", raw) })
 		if _, _, err := l.SecureReadFile("/s.sealed"); err == nil {
 			t.Errorf("tampered sealed file accepted")
 		}
@@ -272,7 +287,9 @@ func TestKeyLivesInGhostMemory(t *testing.T) {
 			t.Fatalf("key len %d", len(key))
 		}
 		// The kernel cannot read it at its ghost address.
-		v, err := k.HAL.KLoad(p.Root(), hw.Virt(l.keyPtr), 8)
+		var v uint64
+		var err error
+		asKernel(p, func() { v, err = k.HAL.KLoad(p.Root(), hw.Virt(l.keyPtr), 8) })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -394,7 +411,8 @@ func TestVersionedFilesDetectReplay(t *testing.T) {
 		}
 		write("version one")
 		// The hostile OS squirrels away the old file...
-		old, _ := k.ReadKernelFile("/v.sealed")
+		var old []byte
+		asKernel(p, func() { old, _ = k.ReadKernelFile("/v.sealed") })
 		write("version two")
 		// Fresh read succeeds.
 		out, n, err := l.SecureReadFileVersioned("/v.sealed")
@@ -402,7 +420,7 @@ func TestVersionedFilesDetectReplay(t *testing.T) {
 			t.Fatalf("fresh read: %v", err)
 		}
 		// ...and replays it.
-		k.WriteKernelFile("/v.sealed", old)
+		asKernel(p, func() { k.WriteKernelFile("/v.sealed", old) })
 		if _, _, err := l.SecureReadFileVersioned("/v.sealed"); err == nil {
 			t.Errorf("replayed stale file accepted")
 		}
@@ -423,10 +441,12 @@ func TestVersionedFilesDetectSplice(t *testing.T) {
 			}
 		}
 		// The OS swaps the two files' contents.
-		a, _ := k.ReadKernelFile("/a.sealed")
-		b, _ := k.ReadKernelFile("/b.sealed")
-		k.WriteKernelFile("/a.sealed", b)
-		k.WriteKernelFile("/b.sealed", a)
+		asKernel(p, func() {
+			a, _ := k.ReadKernelFile("/a.sealed")
+			b, _ := k.ReadKernelFile("/b.sealed")
+			k.WriteKernelFile("/a.sealed", b)
+			k.WriteKernelFile("/b.sealed", a)
+		})
 		if _, _, err := l.SecureReadFileVersioned("/a.sealed"); err == nil {
 			t.Errorf("spliced file accepted")
 		}

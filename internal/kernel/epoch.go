@@ -45,10 +45,10 @@ const (
 
 // schedState is the step function's position in the epoch loop.
 type schedState struct {
-	phase  schedPhase
-	cursor int     // next CPU the user or kernel phase visits
-	last   *cpuRun // CPU whose process was resumed last, until settled
-	kstart uint64  // clock reading when the running kernel segment began
+	phase   schedPhase
+	cursor  int    // next CPU the user or kernel phase visits
+	resumed int    // CPU whose process was resumed last; -1 once settled
+	kstart  uint64 // clock reading when the running kernel segment began
 
 	done func() bool   // the run's predicate (nil: run until idle)
 	wake chan struct{} // hands the machine back to the RunUntil caller
@@ -66,7 +66,7 @@ func (k *Kernel) RunUntilIdle() { k.RunUntil(nil) }
 // false for a nil predicate, which runs until idle).
 func (k *Kernel) RunUntil(done func() bool) bool {
 	s := &k.sched
-	s.phase, s.cursor, s.done = phaseTop, 0, done
+	s.phase, s.cursor, s.resumed, s.done = phaseTop, 0, -1, done
 	if p := k.next(); p != nil {
 		k.handoff(p)
 		<-s.wake
@@ -92,9 +92,9 @@ func (k *Kernel) handoff(p *Proc) {
 // or every CPU is idle and idleAdvance cannot skip to a timer.
 func (k *Kernel) next() *Proc {
 	s := &k.sched
-	if c := s.last; c != nil {
-		s.last = nil
-		k.settle(c)
+	if s.resumed >= 0 {
+		k.settle(k.cpus[s.resumed])
+		s.resumed = -1
 	}
 	for {
 		switch s.phase {
@@ -117,7 +117,7 @@ func (k *Kernel) next() *Proc {
 			if c := k.nextSlot(false); c != nil {
 				// User-context clock reads see this CPU's own time.
 				k.M.Clock.SetCPU(c.id)
-				s.last = c
+				s.resumed = c.id
 				return c.slot
 			}
 			k.M.Clock.EndShardPhase()
@@ -126,15 +126,22 @@ func (k *Kernel) next() *Proc {
 			if c := k.nextSlot(true); c != nil {
 				p := c.slot
 				k.M.SetCurrentCPU(c.id)
-				k.cur = p
 				k.M.Clock.SetContext(int32(p.PID), 0)
 				s.kstart = k.M.Clock.Cycles()
-				s.last = c
+				s.resumed = c.id
 				return p
 			}
 			s.phase = phaseTop
 		}
 	}
+}
+
+// current returns the process whose kernel segment is running, or nil.
+func (k *Kernel) current() *Proc {
+	if s := &k.sched; s.phase == phaseKernel && s.resumed >= 0 {
+		return k.cpus[s.resumed].slot
+	}
+	return nil
 }
 
 // schedulePhase polls the network and fills every empty CPU slot. It
@@ -183,7 +190,6 @@ func (k *Kernel) settle(c *cpuRun) {
 	if user {
 		c.busy += k.M.Clock.ShardCycles(c.id)
 	} else {
-		k.cur = nil
 		k.M.Clock.SetContext(0, 0)
 		c.busy += k.M.Clock.Cycles() - k.sched.kstart
 	}

@@ -129,7 +129,6 @@ type Kernel struct {
 	nextPID  int
 	cpus     []*cpuRun  // per-CPU run queues (see sched.go)
 	sched    schedState // the epoch loop's position (see epoch.go)
-	cur      *Proc      // the process in a kernel segment, if any
 	syscalls map[uint64]SyscallHandler
 	modules  []*Module
 	coreMod  *Module
@@ -348,7 +347,7 @@ func (k *Kernel) SetSyscallHandler(num uint64, h SyscallHandler) SyscallHandler 
 // trapEntry is the kernel's first-level trap handler, invoked by the
 // HAL after its own entry work.
 func (k *Kernel) trapEntry(ic core.IContext, kind hw.TrapKind, info uint64) {
-	p := k.cur
+	p := k.current()
 	if p == nil {
 		panic("kernel: trap with no current process")
 	}
@@ -491,8 +490,8 @@ func (k *Kernel) RunModuleFunc(mod *Module, fn string, args ...uint64) (uint64, 
 		return 0, fmt.Errorf("kernel: module function %q not in code space", fn)
 	}
 	root := hw.Frame(0)
-	if k.cur != nil {
-		root = k.cur.root
+	if p := k.current(); p != nil {
+		root = p.root
 	}
 	env := k.moduleEnv(root)
 	if k.engineKind == EngineReference {

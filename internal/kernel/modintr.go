@@ -35,8 +35,8 @@ func (k *Kernel) installIntrinsics() {
 			return 0, nil
 		},
 		"cur_pid": func(k *Kernel, args []uint64) (uint64, error) {
-			if k.cur != nil {
-				return uint64(k.cur.PID), nil
+			if p := k.current(); p != nil {
+				return uint64(p.PID), nil
 			}
 			return 0, nil
 		},

@@ -262,11 +262,9 @@ func (p *Proc) start() {
 // process as a zombie.
 func (p *Proc) top() {
 	<-p.wake
-	// Final park: the process is a zombie and its goroutine ends, so
-	// the machine passes on for good. Deferred so that a
-	// runtime.Goexit in the image (t.Fatal in a test's process body)
-	// hands the machine back too instead of stranding RunUntil's
-	// caller.
+	// Final park: the zombie's goroutine ends, so the machine passes on
+	// for good. Deferred so that a runtime.Goexit in the image (t.Fatal
+	// in a process body) cannot strand RunUntil's caller.
 	defer func() {
 		p.state = procZombie
 		p.parkWhy = parkEnd
@@ -408,8 +406,8 @@ func (p *Proc) Root() hw.Frame { return p.root }
 // Syscall issues a system call from user mode. It also runs the
 // post-trap user work: a pending pushed signal handler, preemption.
 // The whole body — trap, handler dispatch, pushed signal handlers,
-// preemption check — is one kernel segment: on an epoch-scheduled
-// machine it runs serially at the epoch barrier.
+// preemption check — is one kernel segment: it runs serially at the
+// epoch barrier.
 func (p *Proc) Syscall(num uint64, args ...uint64) uint64 {
 	var av [6]uint64
 	copy(av[:], args)
@@ -480,8 +478,8 @@ func (p *Proc) PermitFunction(addr uint64) error {
 // AllocGM maps npages of ghost memory at the top of the process's ghost
 // partition bump allocator and returns the base address (the allocgm
 // instruction; the libc ghost malloc sits on top of this). Like every
-// HAL entry from user code, it is a kernel segment on epoch-scheduled
-// machines: the VM's mapping work runs serially at the barrier.
+// HAL entry from user code, it is a kernel segment: the VM's mapping
+// work runs serially at the barrier.
 func (p *Proc) AllocGM(npages int) (hw.Virt, error) {
 	p.enterKernel()
 	defer p.exitKernel()
@@ -510,8 +508,8 @@ func (p *Proc) GetKey() ([]byte, error) {
 
 // TrustedRandom reads the VM's trusted random-number instruction. The
 // hardware RNG is shared machine state, so this too is a kernel
-// segment on epoch-scheduled machines (and its draw order is the
-// deterministic barrier order, not a host race).
+// segment (and its draw order is the deterministic barrier order, not
+// a host race).
 func (p *Proc) TrustedRandom() uint64 {
 	p.enterKernel()
 	defer p.exitKernel()
@@ -590,8 +588,8 @@ func (p *Proc) faultingAccess(do func() error) {
 		var f *hw.Fault
 		if errors.As(err, &f) {
 			// The fault itself is a kernel segment: the handler mutates
-			// page tables and the frame allocator, so on epoch-scheduled
-			// machines it runs serially at the barrier.
+			// page tables and the frame allocator, so it runs serially at
+			// the barrier.
 			p.enterKernel()
 			p.k.HAL.Trap(hw.TrapPageFault, uint64(f.VA))
 			p.runPendingHandler()
@@ -607,9 +605,9 @@ func (p *Proc) faultingAccess(do func() error) {
 }
 
 // cpuHW returns the hardware CPU this process is dispatched on. User
-// memory accesses must go through it (not M.Cur()): during a parallel
-// user phase several processes are in flight at once and M.Cur() names
-// whichever CPU the serial scheduler touched last.
+// memory accesses must go through it (not M.Cur()): during a user
+// phase several processes are in flight at once and M.Cur() names
+// whichever CPU the scheduler touched last.
 func (p *Proc) cpuHW() *hw.CPU { return p.k.M.CPUs[p.onCPU] }
 
 // Read copies n bytes from user memory into a fresh Go slice.

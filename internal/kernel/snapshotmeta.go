@@ -24,8 +24,8 @@ const (
 	// v2: KernelSnap.NextPort folded into a NetSnap section (port range,
 	// receive-window default, net counters, timer-id cursor); NICSnap
 	// gained per-port drop counters.
-	// v3: KernelSnap.LastCPU dropped (the serial scheduler's cursor;
-	// every machine now runs the epoch loop).
+	// v3: KernelSnap.LastCPU dropped (the round-robin CPU cursor of the
+	// deleted single-CPU scheduler loop).
 	SnapshotImageVersion = 3
 	// SnapshotHeaderSize is the fixed header length:
 	// magic(8) | version(4 LE) | flags(4 LE).

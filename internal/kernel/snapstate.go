@@ -136,9 +136,6 @@ func (k *Kernel) checkQuiescent() error {
 	if n := len(k.procs); n > 0 {
 		return fmt.Errorf("%w: %d processes still exist (run to completion and reap them)", ErrNotQuiescent, n)
 	}
-	if k.cur != nil {
-		return fmt.Errorf("%w: a process is scheduled", ErrNotQuiescent)
-	}
 	for _, c := range k.cpus {
 		if c.slot != nil || len(c.pids) > 0 {
 			return fmt.Errorf("%w: CPU %d still has scheduler work", ErrNotQuiescent, c.id)
@@ -253,7 +250,6 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 		return err
 	}
 	k.nextPID = s.NextPID
-	k.cur = nil
 	clear(k.procs)
 	for i, c := range k.cpus {
 		c.pids = nil

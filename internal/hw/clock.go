@@ -279,7 +279,7 @@ func (c *Clock) BeginShardPhase(n int) {
 		panic("hw: BeginShardPhase while already sharding")
 	}
 	c.EnsureCPUs(n)
-	c.growShards(max(n, c.cpu+1))
+	c.growShards(n)
 	// Every shard restarts, not only the first n: on a clock shared
 	// with a larger machine the rest still hold that machine's last
 	// phase, and EndShardPhase merges them all.

@@ -28,16 +28,13 @@ import "sort"
 // circulate from receiver back to sender instead of being reallocated.
 type NIC struct {
 	clock *Clock
-	// rxq holds the per-port receive queues: packets delivered to this
-	// NIC and not yet read, keyed by destination port. rxPorts mirrors
-	// the non-empty keys in sorted order; rxCount is the total queued
-	// packet count across ports.
-	rxq     map[uint16][]rxPacket
+	// ports holds one record per destination port that has ever
+	// received a packet: its receive queue, queued bytes and drops.
+	// rxPorts lists the ports with a non-empty queue in sorted order;
+	// rxCount is the total queued packet count across ports.
+	ports   map[uint16]*portQueue
 	rxPorts []uint16
 	rxCount int
-	// queuedBytes tracks queued payload bytes per port — the receive
-	// window math in the kernel charges senders against it.
-	queuedBytes map[uint16]uint64
 	// nextSeq stamps packets in arrival order across all ports, so
 	// Snoop and snapshot images preserve the global arrival sequence
 	// even though storage is per-port.
@@ -59,7 +56,6 @@ type NIC struct {
 	// portLimit caps each port's queue length; overflow drops the
 	// packet and charges the port's drop counter.
 	portLimit int
-	portDrops map[uint16]uint64
 
 	// recvTap, when set, observes every packet accepted into rx — the
 	// record layer's view of external input arriving on the wire. Pure
@@ -91,6 +87,17 @@ func (fp *framePool) class(n int) (*[][]byte, int) {
 		return &fp.short, shortFrameCap
 	}
 	return &fp.full, MTU
+}
+
+// portQueue is one port's receive state.
+type portQueue struct {
+	// pkts are the packets delivered and not yet read, in arrival order.
+	pkts []rxPacket
+	// bytes is the queued payload total — the receive window math in
+	// the kernel charges senders against it.
+	bytes uint64
+	// drops counts packets the per-port queue limit turned away.
+	drops uint64
 }
 
 // rxPacket is a queued frame plus its global arrival sequence number.
@@ -125,9 +132,7 @@ const defaultPortLimit = 4096
 func NewNIC(clock *Clock) *NIC {
 	return &NIC{
 		clock:         clock,
-		rxq:           make(map[uint16][]rxPacket),
-		queuedBytes:   make(map[uint16]uint64),
-		portDrops:     make(map[uint16]uint64),
+		ports:         make(map[uint16]*portQueue),
 		latencyCycles: nicLatencyCycles,
 		perByteCycles: nicPerByteCycles,
 		portLimit:     defaultPortLimit,
@@ -198,23 +203,39 @@ func (n *NIC) Send(p Packet) {
 }
 
 func (n *NIC) deliver(p Packet) {
-	q := n.rxq[p.Port]
-	if len(q) >= n.portLimit {
+	q := n.queue(p.Port)
+	if len(q.pkts) >= n.portLimit {
 		n.packetsDropped++
-		n.portDrops[p.Port]++
+		q.drops++
 		return
 	}
 	n.bytesReceived += uint64(len(p.Payload))
-	if len(q) == 0 {
-		n.insertPort(p.Port)
-	}
-	n.rxq[p.Port] = append(q, rxPacket{pkt: p, seq: n.nextSeq})
-	n.nextSeq++
-	n.rxCount++
-	n.queuedBytes[p.Port] += uint64(len(p.Payload))
+	n.enqueue(q, p)
 	if n.recvTap != nil {
 		n.recvTap(p)
 	}
+}
+
+// queue returns port's record, creating it on first use.
+func (n *NIC) queue(port uint16) *portQueue {
+	q := n.ports[port]
+	if q == nil {
+		q = &portQueue{}
+		n.ports[port] = q
+	}
+	return q
+}
+
+// enqueue appends p to q, port p.Port's record, stamping the next
+// arrival sequence number. It applies no limit and counts no traffic.
+func (n *NIC) enqueue(q *portQueue, p Packet) {
+	if len(q.pkts) == 0 {
+		n.insertPort(p.Port)
+	}
+	q.pkts = append(q.pkts, rxPacket{pkt: p, seq: n.nextSeq})
+	n.nextSeq++
+	n.rxCount++
+	q.bytes += uint64(len(p.Payload))
 }
 
 // insertPort adds port to the sorted pending list (not already present).
@@ -248,23 +269,20 @@ func (n *NIC) Inject(p Packet) {
 // It reports ok=false if none is queued. O(1) amortized: a map lookup
 // plus a head pop.
 func (n *NIC) Receive(port uint16) (Packet, bool) {
-	q := n.rxq[port]
-	if len(q) == 0 {
+	q := n.ports[port]
+	if q == nil || len(q.pkts) == 0 {
 		return Packet{}, false
 	}
-	head := q[0]
-	if len(q) == 1 {
-		delete(n.rxq, port)
+	head := q.pkts[0].pkt
+	q.pkts[0] = rxPacket{}
+	q.pkts = q.pkts[1:]
+	if len(q.pkts) == 0 {
+		q.pkts = nil // an idle port keeps no queue storage
 		n.removePort(port)
-	} else {
-		n.rxq[port] = q[1:]
 	}
 	n.rxCount--
-	n.queuedBytes[port] -= uint64(len(head.pkt.Payload))
-	if n.queuedBytes[port] == 0 {
-		delete(n.queuedBytes, port)
-	}
-	return head.pkt, true
+	q.bytes -= uint64(len(head.Payload))
+	return head, true
 }
 
 // PeekPayloadLen reports the payload length of the head packet queued
@@ -272,15 +290,20 @@ func (n *NIC) Receive(port uint16) (Packet, bool) {
 // check uses it to decide whether the head frame fits without
 // dequeuing it.
 func (n *NIC) PeekPayloadLen(port uint16) int {
-	q := n.rxq[port]
-	if len(q) == 0 {
+	q := n.ports[port]
+	if q == nil || len(q.pkts) == 0 {
 		return -1
 	}
-	return len(q[0].pkt.Payload)
+	return len(q.pkts[0].pkt.Payload)
 }
 
 // Pending reports how many packets are queued for port.
-func (n *NIC) Pending(port uint16) int { return len(n.rxq[port]) }
+func (n *NIC) Pending(port uint16) int {
+	if q := n.ports[port]; q != nil {
+		return len(q.pkts)
+	}
+	return 0
+}
 
 // HasPending reports whether any packet is queued on any port — the
 // interrupt line the kernel checks instead of scanning every socket.
@@ -296,11 +319,21 @@ func (n *NIC) PendingPorts() []uint16 {
 // QueuedBytes reports the payload bytes currently queued for port —
 // in-flight data the receiver has not yet consumed, which the sender's
 // window math counts against the receive window.
-func (n *NIC) QueuedBytes(port uint16) uint64 { return n.queuedBytes[port] }
+func (n *NIC) QueuedBytes(port uint16) uint64 {
+	if q := n.ports[port]; q != nil {
+		return q.bytes
+	}
+	return 0
+}
 
 // PortDrops reports how many packets addressed to port were dropped by
 // the per-port queue limit.
-func (n *NIC) PortDrops(port uint16) uint64 { return n.portDrops[port] }
+func (n *NIC) PortDrops(port uint16) uint64 {
+	if q := n.ports[port]; q != nil {
+		return q.drops
+	}
+	return 0
+}
 
 // Stats returns cumulative byte counters.
 func (n *NIC) Stats() (sent, received, dropped uint64) {
@@ -313,7 +346,7 @@ func (n *NIC) Stats() (sent, received, dropped uint64) {
 func (n *NIC) Snoop() []Packet {
 	all := make([]rxPacket, 0, n.rxCount)
 	for _, port := range n.rxPorts {
-		all = append(all, n.rxq[port]...)
+		all = append(all, n.ports[port].pkts...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
 	out := make([]Packet, len(all))

@@ -344,17 +344,17 @@ func (n *NIC) captureSnap() NICSnap {
 	// Snoop returns copies in global arrival order — exactly the wire
 	// state the image must preserve.
 	s.RX = n.Snoop()
-	for port, d := range n.portDrops {
-		s.PortDrops = append(s.PortDrops, PortDropSnap{Port: port, Drops: d})
+	for port, q := range n.ports {
+		if q.drops > 0 {
+			s.PortDrops = append(s.PortDrops, PortDropSnap{Port: port, Drops: q.drops})
+		}
 	}
 	sort.Slice(s.PortDrops, func(i, j int) bool { return s.PortDrops[i].Port < s.PortDrops[j].Port })
 	return s
 }
 
 func (n *NIC) applySnap(s *NICSnap) {
-	clear(n.rxq)
-	clear(n.queuedBytes)
-	clear(n.portDrops)
+	clear(n.ports)
 	n.rxPorts = n.rxPorts[:0]
 	n.rxCount = 0
 	n.nextSeq = 0
@@ -362,19 +362,13 @@ func (n *NIC) applySnap(s *NICSnap) {
 	// because delivery order is the serialized order.
 	for _, p := range s.RX {
 		cp := Packet{Port: p.Port, Payload: append([]byte(nil), p.Payload...)}
-		if len(n.rxq[cp.Port]) == 0 {
-			n.insertPort(cp.Port)
-		}
-		n.rxq[cp.Port] = append(n.rxq[cp.Port], rxPacket{pkt: cp, seq: n.nextSeq})
-		n.nextSeq++
-		n.rxCount++
-		n.queuedBytes[cp.Port] += uint64(len(cp.Payload))
+		n.enqueue(n.queue(cp.Port), cp)
 	}
 	n.bytesSent = s.BytesSent
 	n.bytesReceived = s.BytesReceived
 	n.packetsDropped = s.PacketsDropped
 	for _, pd := range s.PortDrops {
-		n.portDrops[pd.Port] = pd.Drops
+		n.queue(pd.Port).drops = pd.Drops
 	}
 }
 

@@ -1,7 +1,8 @@
 package kernel
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/hw"
@@ -16,14 +17,14 @@ import (
 // non-blocking, readiness is exposed through epoll-style poll sets
 // (sysPollCreate/sysPollCtl/sysPollWait, level-triggered), and every
 // timeout — poll-wait, connect, per-connection idle auto-close — runs
-// on a hierarchical timer wheel indexed by the virtual clock
+// on one (expiry, id) timer heap keyed by the virtual clock
 // (timerwheel.go). Flow control is a receive-window cap on each
 // connection's buffer: senders see the receiver's remaining window
 // (the link is a lossless synchronous pair, so the window is read
 // directly rather than carried in ACK segments) and block, shorten, or
 // return EAGAIN; un-consumed frames stay queued in the NIC and are
 // charged against the window. Delivery is interrupt-driven: Poll is an
-// O(1) check of the NIC's pending line plus the wheel's due state, and
+// O(1) check of the NIC's pending line plus the armed-timer count, and
 // a drain walks only the ports that actually have frames, in sorted
 // port order, so multi-port handling is deterministic and
 // snapshot safe.
@@ -85,9 +86,11 @@ type Conn struct {
 	rxWindow int
 	// idleTimeout, when non-zero, auto-closes the connection after
 	// that many cycles without receive activity (keep-alive kill). The
-	// armed wheel entry is idleTimer; it re-arms on every delivery.
+	// armed timer is idleTimer; it re-arms on every delivery with
+	// the same handler, onIdle, built once per connection.
 	idleTimeout uint64
 	idleTimer   timerID
+	onIdle      func()
 	connTimer   timerID
 }
 
@@ -184,7 +187,7 @@ type NetStats struct {
 	LateFinDrops uint64
 	// TimeoutKills: connections auto-closed by the idle timeout.
 	TimeoutKills uint64
-	// TimerFires: wheel entries fired.
+	// TimerFires: timers fired.
 	TimerFires uint64
 }
 
@@ -214,7 +217,7 @@ func NewNetStack(k *Kernel) *NetStack {
 		portLo:    defaultPortLo,
 		portHi:    defaultPortHi,
 		defWindow: DefaultRecvWindow,
-		wheel:     newTimerWheel(k.M.Clock.Cycles()),
+		wheel:     newTimerWheel(),
 	}
 	// The NIC's owner back-pointer lets the peer stack's senders read
 	// this stack's flow-control state (window math) without a
@@ -229,7 +232,7 @@ func (ns *NetStack) Stats() NetStats { return ns.stats }
 // NumConns reports currently-open connections (load tracking).
 func (ns *NetStack) NumConns() int { return len(ns.conns) }
 
-// TimersPending reports armed wheel timers (quiescence checks).
+// TimersPending reports armed timers (quiescence checks).
 func (ns *NetStack) TimersPending() int { return ns.wheel.pendingCount() }
 
 // SetRecvWindow changes the receive window installed on connections
@@ -333,7 +336,7 @@ func (ns *NetStack) sendRoom(c *Conn) int {
 
 // Poll is the receive-interrupt stand-in the schedulers call between
 // dispatches. It is O(1) when nothing is pending: one flag check on
-// the NIC plus the wheel's armed count. With work it fires due timers
+// the NIC plus the armed-timer count. With work it fires due timers
 // and drains pending ports in ascending port order.
 func (ns *NetStack) Poll() {
 	if ns.nic.HasPending() {
@@ -405,7 +408,7 @@ func (ns *NetStack) deliverable() bool {
 	return false
 }
 
-// timerNext exposes the wheel's earliest expiry to the idle protocol.
+// timerNext exposes the earliest timer expiry to the idle protocol.
 func (ns *NetStack) timerNext() (uint64, bool) { return ns.wheel.nextExpiry() }
 
 // handlePacket is protocol input processing for one frame addressed to
@@ -471,32 +474,22 @@ func (ns *NetStack) handlePacket(port uint16, pl []byte, fromLocal bool) {
 }
 
 // touch re-arms c's idle auto-close timer on receive activity.
-func (ns *NetStack) touch(c *Conn) {
-	if c.idleTimeout == 0 || c.closed {
+func (ns *NetStack) touch(c *Conn) { ns.SetIdleTimeout(c, c.idleTimeout) }
+
+// idleKill is the timer handler that force-closes an idle connection
+// (slowloris defense: a held-open connection with no traffic is reaped
+// without any process attending to it).
+func (ns *NetStack) idleKill(c *Conn) {
+	c.idleTimer = 0
+	if c.closed {
 		return
 	}
-	if c.idleTimer != 0 {
-		ns.wheel.cancel(c.idleTimer)
-	}
-	c.idleTimer = ns.wheel.after(ns.k.M.Clock.Cycles(), c.idleTimeout, ns.idleKill(c))
-}
-
-// idleKill returns the wheel handler that force-closes an idle
-// connection (slowloris defense: a held-open connection with no
-// traffic is reaped without any process attending to it).
-func (ns *NetStack) idleKill(c *Conn) func() {
-	return func() {
-		c.idleTimer = 0
-		if c.closed {
-			return
-		}
-		ns.stats.TimeoutKills++
-		ns.CloseConn(c)
-	}
+	ns.stats.TimeoutKills++
+	ns.CloseConn(c)
 }
 
 // SetIdleTimeout arms (or with 0 disables) the connection's receive
-// idle auto-close.
+// idle auto-close, replacing any timer already armed.
 func (ns *NetStack) SetIdleTimeout(c *Conn, cycles uint64) {
 	c.idleTimeout = cycles
 	if c.idleTimer != 0 {
@@ -504,7 +497,10 @@ func (ns *NetStack) SetIdleTimeout(c *Conn, cycles uint64) {
 		c.idleTimer = 0
 	}
 	if cycles != 0 && !c.closed {
-		c.idleTimer = ns.wheel.after(ns.k.M.Clock.Cycles(), cycles, ns.idleKill(c))
+		if c.onIdle == nil {
+			c.onIdle = func() { ns.idleKill(c) }
+		}
+		c.idleTimer = ns.wheel.after(ns.k.M.Clock.Cycles(), cycles, c.onIdle)
 	}
 }
 
@@ -555,12 +551,14 @@ func (ns *NetStack) Accept(p *Proc, l *Listener, nonblock bool) (*Conn, uint64) 
 		}
 	}
 	p.block(func() bool { ns.Poll(); return len(l.backlog) > 0 })
-	e := l.backlog[0]
-	l.backlog = l.backlog[1:]
+	// The port comes first: on exhaustion the SYN stays queued for a
+	// later accept instead of being lost with its client's connect.
 	local, errn := ns.allocPort()
 	if errn != 0 {
 		return nil, errn
 	}
+	e := l.backlog[0]
+	l.backlog = l.backlog[1:]
 	c := &Conn{local: local, remote: e.srcPort, remoteIsLocal: e.local, established: true, rxWindow: ns.defWindow}
 	ns.conns[local] = c
 	ns.send(pktSYNACK, local, e.srcPort, nil, e.local)
@@ -892,15 +890,18 @@ const (
 // there is no per-packet bookkeeping, so the structure serializes
 // trivially and wakeups stay deterministic.
 type PollSet struct {
-	ns  *NetStack
-	fds []int // ascending
-	// interest maps member fd -> event mask. Iteration always goes
-	// through the sorted fds slice, never the map.
-	interest map[int]uint32
+	ns      *NetStack
+	members []pollMember // ascending by fd
 	// owner is the creating process: member fds index its table. A
 	// poll set is private to its creator (not meaningfully inherited
 	// across fork).
 	owner *Proc
+}
+
+// pollMember is one member fd with its interest mask.
+type pollMember struct {
+	fd     int
+	events uint32
 }
 
 func (ps *PollSet) ReadAt(p *Proc, b []byte, off int64) (int, error)  { return 0, ErrNotReadable }
@@ -910,28 +911,40 @@ func (ps *PollSet) Size() int64                                       { return 0
 // Ready reports whether any member is ready (select-on-pollset).
 func (ps *PollSet) Ready() bool {
 	ps.ns.Poll()
-	for _, fd := range ps.fds {
-		if ps.readiness(ps.owner, fd) != 0 {
-			return true
-		}
-	}
-	return false
+	return ps.scan(ps.owner, 1, nil) > 0
 }
 
 func (ps *PollSet) Close(k *Kernel) error { return nil }
 
-type pollMember struct {
-	fd     int
-	events uint32
+// scan visits the members in ascending fd order and counts the ready
+// ones, stopping at maxev. When out is non-nil it receives each ready
+// member as an (fd uint32, events uint32) little-endian pair, so it
+// needs room for 8*min(maxev, len(members)) bytes.
+func (ps *PollSet) scan(p *Proc, maxev int, out []byte) int {
+	n := 0
+	for _, m := range ps.members {
+		ev := ps.readiness(p, m)
+		if ev == 0 {
+			continue
+		}
+		if out != nil {
+			putU32(out[8*n:], uint32(m.fd))
+			putU32(out[8*n+4:], ev)
+		}
+		if n++; n == maxev {
+			break
+		}
+	}
+	return n
 }
 
-// readiness computes fd's level-triggered event set, masked by the
+// readiness computes m's level-triggered event set, masked by its
 // registered interest (POLLHUP and POLLERR always report).
-func (ps *PollSet) readiness(p *Proc, fd int) uint32 {
+func (ps *PollSet) readiness(p *Proc, m pollMember) uint32 {
 	if p == nil {
 		return 0
 	}
-	d, e := p.fd(fd)
+	d, e := p.fd(m.fd)
 	if e != 0 {
 		return POLLERR
 	}
@@ -958,13 +971,13 @@ func (ps *PollSet) readiness(p *Proc, fd int) uint32 {
 			ev |= POLLOUT
 		}
 	}
-	return ev & (ps.interest[fd] | POLLHUP | POLLERR)
+	return ev & (m.events | POLLHUP | POLLERR)
 }
 
 // sysPollCreate allocates an empty poll set and returns its fd.
 func sysPollCreate(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	k.HAL.KAccess(workPollCreate)
-	fd, e := p.allocFD(&PollSet{ns: k.Net, interest: make(map[int]uint32), owner: p}, false)
+	fd, e := p.allocFD(&PollSet{ns: k.Net, owner: p}, false)
 	if e != 0 {
 		return errno(e)
 	}
@@ -998,29 +1011,23 @@ func sysPollCtl(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	if _, se := sockOf(p, fd); se != 0 && op != PollCtlDel {
 		return errno(se)
 	}
-	_, member := ps.interest[fd]
+	i, member := slices.BinarySearchFunc(ps.members, fd, func(m pollMember, fd int) int { return cmp.Compare(m.fd, fd) })
 	switch op {
 	case PollCtlAdd:
 		if member {
 			return errno(EEXIST)
 		}
-		i := sort.SearchInts(ps.fds, fd)
-		ps.fds = append(ps.fds, 0)
-		copy(ps.fds[i+1:], ps.fds[i:])
-		ps.fds[i] = fd
-		ps.interest[fd] = events
+		ps.members = slices.Insert(ps.members, i, pollMember{fd: fd, events: events})
 	case PollCtlMod:
 		if !member {
 			return errno(ENOENT)
 		}
-		ps.interest[fd] = events
+		ps.members[i].events = events
 	case PollCtlDel:
 		if !member {
 			return errno(ENOENT)
 		}
-		i := sort.SearchInts(ps.fds, fd)
-		ps.fds = append(ps.fds[:i], ps.fds[i+1:]...)
-		delete(ps.interest, fd)
+		ps.members = slices.Delete(ps.members, i, i+1)
 	default:
 		return errno(EINVAL)
 	}
@@ -1046,21 +1053,13 @@ func sysPollWait(k *Kernel, p *Proc, ic core.IContext) uint64 {
 	if maxev <= 0 {
 		return errno(EINVAL)
 	}
-	collect := func() []pollMember {
-		var out []pollMember
-		for _, fd := range ps.fds {
-			if ev := ps.readiness(p, fd); ev != 0 {
-				out = append(out, pollMember{fd: fd, events: ev})
-				if len(out) == maxev {
-					break
-				}
-			}
-		}
-		return out
+	collect := func() ([]byte, int) {
+		out := p.ioBuf(8 * min(maxev, len(ps.members)))
+		return out, ps.scan(p, maxev, out)
 	}
 	k.Net.Poll()
-	ready := collect()
-	if len(ready) == 0 {
+	out, n := collect()
+	if n == 0 {
 		expired := false
 		var tid timerID
 		if timeout != 0 {
@@ -1068,33 +1067,18 @@ func sysPollWait(k *Kernel, p *Proc, ic core.IContext) uint64 {
 		}
 		p.block(func() bool {
 			k.Net.Poll()
-			if expired {
-				return true
-			}
-			for _, fd := range ps.fds {
-				if ps.readiness(p, fd) != 0 {
-					return true
-				}
-			}
-			return false
+			return expired || ps.scan(p, 1, nil) > 0
 		})
 		if tid != 0 && !expired {
 			k.Net.wheel.cancel(tid)
 		}
-		ready = collect()
-		if len(ready) == 0 {
+		if out, n = collect(); n == 0 {
 			return 0 // timeout
 		}
 	}
-	k.HAL.KAccess(len(ready) * workPollPerEvent)
-	out := make([]byte, 0, len(ready)*8)
-	for _, m := range ready {
-		out = append(out,
-			byte(m.fd), byte(m.fd>>8), byte(m.fd>>16), byte(m.fd>>24),
-			byte(m.events), byte(m.events>>8), byte(m.events>>16), byte(m.events>>24))
-	}
-	if err := k.copyout(p, hw.Virt(buf), out); err != nil {
+	k.HAL.KAccess(n * workPollPerEvent)
+	if err := k.copyout(p, hw.Virt(buf), out[:8*n]); err != nil {
 		return errno(EFAULT)
 	}
-	return uint64(len(ready))
+	return uint64(n)
 }

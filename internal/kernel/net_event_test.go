@@ -86,6 +86,63 @@ func TestPortExhaustionEAGAIN(t *testing.T) {
 	}
 }
 
+// TestPortExhaustionKeepsPendingSYN: an accept that finds no free
+// ephemeral port fails with EAGAIN and leaves the SYN queued, so once a
+// port is freed the next accept completes that client's connect.
+func TestPortExhaustionKeepsPendingSYN(t *testing.T) {
+	k, _, _ := bootPair(t)
+	k.Net.SetEphemeralRange(40000, 40002) // three ephemeral ports
+	var fail string
+	done := false
+	if _, err := k.Spawn("p", func(p *Proc) {
+		defer func() { done = true }()
+		sfd := p.Syscall(SysSocket)
+		p.Syscall(SysBind, sfd, 6100)
+		p.Syscall(SysListen, sfd)
+		p.Syscall(SysNonblock, sfd, 1)
+		var cfds []uint64
+		for i := 0; i < 3; i++ { // takes every ephemeral port
+			fd := p.Syscall(SysSocket)
+			p.Syscall(SysNonblock, fd, 1)
+			if ret := p.Syscall(SysConnect, fd, 6100, LocalHost); ret != 0 {
+				fail = "connect failed"
+				return
+			}
+			cfds = append(cfds, fd)
+		}
+		if e, _ := IsErr(p.Syscall(SysAccept, sfd)); e != EAGAIN {
+			fail = "accept with no free port not EAGAIN"
+			return
+		}
+		if n := len(k.Net.listeners[6100].backlog); n != 3 {
+			fail = "failed accept consumed a pending SYN"
+			return
+		}
+		p.Syscall(SysClose, cfds[2]) // frees a port
+		if _, bad := IsErr(p.Syscall(SysAccept, sfd)); bad {
+			fail = "accept after a port was freed failed"
+			return
+		}
+		// The accept answered the oldest SYN: the first client's
+		// connect is complete.
+		pfd := p.Syscall(SysPollCreate)
+		p.Syscall(SysPollCtl, pfd, PollCtlAdd, cfds[0], POLLOUT)
+		evb := p.Alloc(8)
+		if n := p.Syscall(SysPollWait, pfd, evb, 1, 1_000_000); n != 1 || p.Load(evb+4, 4)&POLLOUT == 0 {
+			fail = "first client's connect never completed"
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntilIdle()
+	if !done {
+		t.Fatal("proc stalled")
+	}
+	if fail != "" {
+		t.Fatal(fail)
+	}
+}
+
 // TestLateFrameDropCounters (the FIN-race fix): frames addressed to a
 // port with no connection are dropped with accounting, not silently.
 func TestLateFrameDropCounters(t *testing.T) {
@@ -610,7 +667,7 @@ func TestNetSnapshotRoundTrip(t *testing.T) {
 	k.Net.nextPort = 1
 	k.Net.defWindow = 7
 	k.Net.stats = NetStats{}
-	k.Net.wheel = newTimerWheel(0)
+	k.Net.wheel = newTimerWheel()
 	if err := k.ApplyKernelSnap(snap); err != nil {
 		t.Fatal(err)
 	}

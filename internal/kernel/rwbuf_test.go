@@ -314,9 +314,10 @@ func (f *netFixture) sendRecv(tb testing.TB, send, recv *argsIC) {
 
 // TestNetDataPathAllocationFree pins the steady-state allocation budget
 // of the socket data path at zero: a nonblocking recv that finds
-// nothing, and a segment sent and received over loopback, once the
-// process's kernel buffer, the connection's receive buffer and the
-// frame free list are warm.
+// nothing, a segment sent and received over loopback (also with an idle
+// timeout re-armed per segment), and a poll wait reporting one ready
+// member, once the process's kernel buffer, the connection's receive
+// buffer, the timer heap and the frame free list are warm.
 func TestNetDataPathAllocationFree(t *testing.T) {
 	for _, mode := range modes() {
 		f := newNetFixture(t, mode)
@@ -334,6 +335,27 @@ func TestNetDataPathAllocationFree(t *testing.T) {
 			if a := testing.AllocsPerRun(200, func() { f.sendRecv(t, send, recv) }); a != 0 {
 				t.Errorf("[%v] sendto+recv of a %d-byte segment allocates %.1f times per call", mode, n, a)
 			}
+		}
+		// With an idle timeout every received segment re-arms the
+		// connection's timer.
+		sysSockTimeo(f.k, f.p, &argsIC{args: [6]uint64{f.afd, 1 << 40}})
+		send := &argsIC{args: [6]uint64{f.cfd, f.buf, 64}}
+		recv := &argsIC{args: [6]uint64{f.afd, f.buf, 4096}}
+		if a := testing.AllocsPerRun(200, func() { f.sendRecv(t, send, recv) }); a != 0 {
+			t.Errorf("[%v] sendto+recv with an idle timeout allocates %.1f times per call", mode, a)
+		}
+		// A poll wait that finds one member ready (data left buffered:
+		// level-triggered, it reports on every call).
+		pfd := sysPollCreate(f.k, f.p, &argsIC{})
+		sysPollCtl(f.k, f.p, &argsIC{args: [6]uint64{pfd, PollCtlAdd, f.afd, POLLIN}})
+		sysSendTo(f.k, f.p, send)
+		wait := &argsIC{args: [6]uint64{pfd, f.buf, 8}}
+		if a := testing.AllocsPerRun(200, func() {
+			if n := sysPollWait(f.k, f.p, wait); n != 1 {
+				t.Fatalf("[%v] pollwait = %d, want 1", mode, int64(n))
+			}
+		}); a != 0 {
+			t.Errorf("[%v] pollwait with one ready event allocates %.1f times per call", mode, a)
 		}
 	}
 }

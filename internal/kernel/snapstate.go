@@ -280,10 +280,10 @@ func (k *Kernel) ApplyKernelSnap(s *KernelSnap) error {
 	k.Net.portHi = s.Net.PortHi
 	k.Net.defWindow = s.Net.RecvWindow
 	k.Net.stats = s.Net.Stats
-	// Armed timers are empty by the quiescence contract; a fresh wheel at
-	// the restored clock with the captured id cursor reproduces the
-	// pre-snapshot wheel exactly.
-	k.Net.wheel = newTimerWheel(k.M.Clock.Cycles())
+	// Armed timers are empty by the quiescence contract; an empty heap
+	// with the captured id cursor reproduces the pre-snapshot timers
+	// exactly.
+	k.Net.wheel = newTimerWheel()
 	k.Net.wheel.nextID = timerID(s.Net.TimerSeq)
 	k.FS.applySnap(s.FS)
 	k.FS.cache.applySnap(s.BufCache)

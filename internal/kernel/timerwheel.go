@@ -1,33 +1,18 @@
 package kernel
 
-import "sort"
-
-// This file is the hierarchical timer wheel driving every network
-// timeout (DESIGN.md §19): poll-wait timeouts, per-connection idle
-// auto-close, and connect timeouts. It is indexed by virtual time —
-// the same deterministic clock every other cost runs on — so arming,
-// cascading, and firing are all replayable.
-//
-// Layout: wheelLevels levels of wheelSlots slots each. A level-0 slot
-// covers one tick of wheelGranularity cycles; each higher level covers
-// wheelSlots times the span of the one below. Entries beyond the top
-// level's horizon wait in a sorted overflow list and fire straight
-// from there. Advancing the wheel steps tick by tick, cascading a
-// higher-level slot down whenever the cursor crosses its boundary —
-// the classic O(1)-amortized scheme.
+// This file is the timer queue driving every network timeout
+// (DESIGN.md §19): poll-wait timeouts, per-connection idle auto-close,
+// and connect timeouts. It is a binary min-heap keyed (expiry, id) on
+// the virtual clock — the same deterministic clock every other cost
+// runs on — so arming and firing are replayable.
 //
 // Determinism: due entries fire in (expiry, id) order, where id is a
 // monotonic arm sequence number. Two timers armed for the same instant
-// therefore fire in arm order, never map order or slot-chain order.
-
-const (
-	// wheelGranularity is the level-0 tick in cycles (~2.4 µs at
-	// 3.4 GHz) — finer than any modeled network latency, so timeout
-	// rounding is invisible next to the NIC's 8000-cycle latency.
-	wheelGranularity = 8192
-	wheelSlots       = 64
-	wheelLevels      = 4
-)
+// therefore fire in arm order, never map order.
+//
+// Cancellation is lazy: cancel drops the id from the live set and the
+// entry stays in the heap until it reaches the top, where advance and
+// nextExpiry discard it.
 
 // timerID names one armed timer; 0 is never a valid id.
 type timerID uint64
@@ -38,48 +23,33 @@ type wheelEntry struct {
 	fn     func()
 }
 
-type timerWheel struct {
-	// curTick is the absolute level-0 tick the wheel has advanced to:
-	// every live entry with expiry < curTick*wheelGranularity has
-	// fired.
-	curTick uint64
-	slots   [wheelLevels][wheelSlots][]wheelEntry
-	// overflow holds entries beyond the top level's horizon, sorted by
-	// (expiry, id); advance pops due entries straight off its head.
-	overflow []wheelEntry
-	// live holds armed-not-yet-fired ids; dead marks cancelled ids
-	// whose entries are reaped lazily when their slot is processed.
-	live    map[timerID]struct{}
-	dead    map[timerID]struct{}
-	pending int
-	// slotEntries counts entries physically stored in slots (live or
-	// lazily dead, excluding overflow). When it is zero, advance can
-	// jump the cursor without walking ticks.
-	slotEntries int
-	nextID      timerID
+// less orders entries by (expiry, id).
+func (e wheelEntry) less(o wheelEntry) bool {
+	return e.expiry < o.expiry || (e.expiry == o.expiry && e.id < o.id)
 }
 
-func newTimerWheel(now uint64) *timerWheel {
-	return &timerWheel{
-		curTick: now / wheelGranularity,
-		live:    make(map[timerID]struct{}),
-		dead:    make(map[timerID]struct{}),
-		nextID:  1,
-	}
+type timerWheel struct {
+	heap []wheelEntry
+	// live holds the ids armed and neither fired nor cancelled; a heap
+	// entry whose id is missing here is cancelled.
+	live   map[timerID]struct{}
+	nextID timerID
+	// due is advance's reusable list of entries to fire.
+	due []wheelEntry
+}
+
+func newTimerWheel() *timerWheel {
+	return &timerWheel{live: make(map[timerID]struct{}), nextID: 1}
 }
 
 // after arms fn to fire once virtual time reaches now+delay and
 // returns the timer's id for cancel. A zero delay still fires strictly
 // in the future (the next advance past now).
 func (w *timerWheel) after(now, delay uint64, fn func()) timerID {
-	if delay == 0 {
-		delay = 1
-	}
 	id := w.nextID
 	w.nextID++
 	w.live[id] = struct{}{}
-	w.insert(wheelEntry{id: id, expiry: now + delay, fn: fn})
-	w.pending++
+	w.push(wheelEntry{id: id, expiry: now + max(delay, 1), fn: fn})
 	return id
 }
 
@@ -90,193 +60,82 @@ func (w *timerWheel) cancel(id timerID) bool {
 		return false
 	}
 	delete(w.live, id)
-	w.dead[id] = struct{}{}
-	w.pending--
 	return true
 }
 
-// insert places an entry into the level whose span covers its delay.
-// Entries due at or before the cursor land in the current slot and
-// fire on the next advance.
-func (w *timerWheel) insert(e wheelEntry) {
-	tick := e.expiry / wheelGranularity
-	if tick < w.curTick {
-		tick = w.curTick
-	}
-	delta := tick - w.curTick
-	span := uint64(wheelSlots) // total ticks covered by levels 0..lvl
-	width := uint64(1)         // ticks per slot at lvl
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		if delta < span {
-			idx := (tick / width) % wheelSlots
-			w.slots[lvl][idx] = append(w.slots[lvl][idx], e)
-			w.slotEntries++
-			return
-		}
-		width = span
-		span *= wheelSlots
-	}
-	// Beyond the horizon (≈137 G cycles): sorted overflow.
-	i := sort.Search(len(w.overflow), func(i int) bool {
-		o := w.overflow[i]
-		return o.expiry > e.expiry || (o.expiry == e.expiry && o.id > e.id)
-	})
-	w.overflow = append(w.overflow, wheelEntry{})
-	copy(w.overflow[i+1:], w.overflow[i:])
-	w.overflow[i] = e
-}
-
 // advance fires every live entry with expiry <= now, in (expiry, id)
-// order, and returns how many fired. Handlers may arm new timers; a
-// handler-armed timer already due fires on the next advance, not this
-// one.
+// order, and returns how many fired. All due entries leave the heap
+// before the first handler runs: a handler-armed timer fires on the
+// next advance, and an entry already taken fires even if an earlier
+// handler cancels it.
 func (w *timerWheel) advance(now uint64) int {
-	targetTick := now / wheelGranularity
-	if w.pending == 0 {
-		// Nothing armed: just keep the cursor current so later inserts
-		// land in the right slot. (Lazily-dead entries can linger in
-		// slots; they are reaped whenever their slot is next touched.)
-		w.curTick = targetTick
-		return 0
-	}
-	var due []wheelEntry
-	collect := func(e wheelEntry) bool {
-		// Reap cancelled entries; move due live ones to the fire list.
-		if _, gone := w.dead[e.id]; gone {
-			delete(w.dead, e.id)
-			return true
-		}
-		if e.expiry <= now {
+	due := w.due[:0]
+	w.due = nil // a handler that re-enters advance gets its own list
+	for len(w.heap) > 0 && w.heap[0].expiry <= now {
+		e := w.pop()
+		if _, ok := w.live[e.id]; ok {
 			delete(w.live, e.id)
 			due = append(due, e)
-			return true
-		}
-		return false
-	}
-	// filterCur sweeps the cursor's own slot: entries there can be due
-	// within the current tick (zero-delay arms land here).
-	filterCur := func() {
-		slot := &w.slots[0][w.curTick%wheelSlots]
-		if len(*slot) == 0 {
-			return
-		}
-		keep := (*slot)[:0]
-		for _, e := range *slot {
-			if !collect(e) {
-				keep = append(keep, e)
-			}
-		}
-		w.slotEntries -= len(*slot) - len(keep)
-		*slot = keep
-	}
-	filterCur()
-	for w.curTick < targetTick {
-		if w.slotEntries == 0 {
-			// Everything armed lives in the overflow list: no slot can
-			// fire or cascade, so the cursor jumps straight to the
-			// target instead of walking (possibly millions of) ticks.
-			w.curTick = targetTick
-			break
-		}
-		w.curTick++
-		w.cascade()
-		slot := &w.slots[0][w.curTick%wheelSlots]
-		if len(*slot) == 0 {
-			continue
-		}
-		entries := *slot
-		*slot = nil
-		w.slotEntries -= len(entries)
-		for _, e := range entries {
-			if !collect(e) {
-				// Not yet due (a handler re-armed into the in-progress
-				// region): keep it for a later advance.
-				w.insert(e)
-			}
 		}
 	}
-	// The target tick's slot may hold entries due within the tick.
-	filterCur()
-	// Overflow entries that came due (huge jumps).
-	for len(w.overflow) > 0 && w.overflow[0].expiry <= now {
-		e := w.overflow[0]
-		w.overflow = w.overflow[1:]
-		collect(e)
-	}
-	if len(due) == 0 {
-		return 0
-	}
-	sort.Slice(due, func(i, j int) bool {
-		if due[i].expiry != due[j].expiry {
-			return due[i].expiry < due[j].expiry
-		}
-		return due[i].id < due[j].id
-	})
 	for _, e := range due {
-		w.pending--
 		e.fn()
 	}
-	return len(due)
-}
-
-// cascade pulls the next higher-level slot down whenever the cursor
-// crosses that level's boundary, re-distributing its entries into the
-// finer levels below.
-func (w *timerWheel) cascade() {
-	width := uint64(wheelSlots) // ticks per slot at the level being pulled
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		if w.curTick%width != 0 {
-			return
-		}
-		idx := (w.curTick / width) % wheelSlots
-		entries := w.slots[lvl][idx]
-		if len(entries) != 0 {
-			w.slots[lvl][idx] = nil
-			w.slotEntries -= len(entries)
-			for _, e := range entries {
-				if _, gone := w.dead[e.id]; gone {
-					delete(w.dead, e.id)
-					continue
-				}
-				w.insert(e)
-			}
-		}
-		width *= wheelSlots
-	}
+	n := len(due)
+	clear(due) // drop the handlers' closures
+	w.due = due[:0]
+	return n
 }
 
 // nextExpiry returns the earliest live expiry and whether one exists.
-// O(levels × slots + queued entries) scan — called only on the idle
-// path, never per packet.
 func (w *timerWheel) nextExpiry() (uint64, bool) {
-	if w.pending == 0 {
-		return 0, false
-	}
-	var best uint64
-	found := false
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		for idx := 0; idx < wheelSlots; idx++ {
-			for _, e := range w.slots[lvl][idx] {
-				if _, gone := w.dead[e.id]; gone {
-					continue
-				}
-				if !found || e.expiry < best {
-					best, found = e.expiry, true
-				}
-			}
+	for len(w.heap) > 0 {
+		if _, ok := w.live[w.heap[0].id]; ok {
+			return w.heap[0].expiry, true
 		}
+		w.pop()
 	}
-	for _, e := range w.overflow {
-		if _, gone := w.dead[e.id]; gone {
-			continue
-		}
-		if !found || e.expiry < best {
-			best, found = e.expiry, true
-		}
-		break // sorted: the first live entry is the overflow minimum
-	}
-	return best, found
+	return 0, false
 }
 
 // pendingCount reports how many timers are armed and not cancelled.
-func (w *timerWheel) pendingCount() int { return w.pending }
+func (w *timerWheel) pendingCount() int { return len(w.live) }
+
+func (w *timerWheel) push(e wheelEntry) {
+	w.heap = append(w.heap, e)
+	for i := len(w.heap) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !w.heap[i].less(w.heap[parent]) {
+			break
+		}
+		w.heap[i], w.heap[parent] = w.heap[parent], w.heap[i]
+		i = parent
+	}
+}
+
+func (w *timerWheel) pop() wheelEntry {
+	top := w.heap[0]
+	last := len(w.heap) - 1
+	w.heap[0] = w.heap[last]
+	w.heap[last] = wheelEntry{}
+	w.heap = w.heap[:last]
+	w.down(0)
+	return top
+}
+
+// down restores the heap order below i.
+func (w *timerWheel) down(i int) {
+	for {
+		least := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(w.heap) && w.heap[c].less(w.heap[least]) {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		w.heap[i], w.heap[least] = w.heap[least], w.heap[i]
+		i = least
+	}
+}

@@ -133,6 +133,40 @@ func TestNICPortDemux(t *testing.T) {
 	}
 }
 
+// TestNICPortRecordsSnapshot: per-port queue, byte and drop state
+// survive captureSnap/applySnap, and only ports that dropped a packet
+// appear in the image's drop list.
+func TestNICPortRecordsSnapshot(t *testing.T) {
+	clk := &Clock{}
+	a, b := NewNIC(clk), NewNIC(clk)
+	Connect(a, b)
+	b.SetPortLimit(2)
+	for _, p := range []Packet{{9, []byte("a")}, {7, []byte("bb")}, {7, []byte("ccc")}, {7, []byte("dddd")}, {5, []byte("e")}} {
+		a.Send(p)
+	}
+	b.Receive(5) // port 5 drained: a record with nothing to report
+	if b.PortDrops(7) != 1 || b.QueuedBytes(7) != 5 || b.Pending(7) != 2 || b.QueuedBytes(5) != 0 {
+		t.Fatalf("port 7: drops %d bytes %d pending %d; port 5 bytes %d",
+			b.PortDrops(7), b.QueuedBytes(7), b.Pending(7), b.QueuedBytes(5))
+	}
+	s := b.captureSnap()
+	if len(s.PortDrops) != 1 || s.PortDrops[0] != (PortDropSnap{Port: 7, Drops: 1}) {
+		t.Fatalf("image drop list = %+v, want port 7 only", s.PortDrops)
+	}
+	r := NewNIC(clk)
+	r.applySnap(&s)
+	if r.PortDrops(7) != 1 || r.QueuedBytes(7) != 5 || r.Pending(9) != 1 || len(r.PendingPorts()) != 2 {
+		t.Fatalf("restored: drops %d bytes %d pending ports %v", r.PortDrops(7), r.QueuedBytes(7), r.PendingPorts())
+	}
+	var got string
+	for _, p := range r.Snoop() {
+		got += string(p.Payload)
+	}
+	if got != "abbccc" {
+		t.Errorf("restored arrival order %q, want %q", got, "abbccc")
+	}
+}
+
 func TestNICUnconnectedDrops(t *testing.T) {
 	n := NewNIC(&Clock{})
 	n.Send(Packet{Port: 9, Payload: []byte("x")})

@@ -290,20 +290,24 @@ func (n *NIC) Receive(port uint16) (Packet, bool) {
 // check uses it to decide whether the head frame fits without
 // dequeuing it.
 func (n *NIC) PeekPayloadLen(port uint16) int {
-	q := n.ports[port]
-	if q == nil || len(q.pkts) == 0 {
+	q := n.rx(port)
+	if len(q.pkts) == 0 {
 		return -1
 	}
 	return len(q.pkts[0].pkt.Payload)
 }
 
-// Pending reports how many packets are queued for port.
-func (n *NIC) Pending(port uint16) int {
+// rx returns a copy of port's record, zero for a port that never
+// received a packet.
+func (n *NIC) rx(port uint16) portQueue {
 	if q := n.ports[port]; q != nil {
-		return len(q.pkts)
+		return *q
 	}
-	return 0
+	return portQueue{}
 }
+
+// Pending reports how many packets are queued for port.
+func (n *NIC) Pending(port uint16) int { return len(n.rx(port).pkts) }
 
 // HasPending reports whether any packet is queued on any port — the
 // interrupt line the kernel checks instead of scanning every socket.
@@ -319,21 +323,11 @@ func (n *NIC) PendingPorts() []uint16 {
 // QueuedBytes reports the payload bytes currently queued for port —
 // in-flight data the receiver has not yet consumed, which the sender's
 // window math counts against the receive window.
-func (n *NIC) QueuedBytes(port uint16) uint64 {
-	if q := n.ports[port]; q != nil {
-		return q.bytes
-	}
-	return 0
-}
+func (n *NIC) QueuedBytes(port uint16) uint64 { return n.rx(port).bytes }
 
 // PortDrops reports how many packets addressed to port were dropped by
 // the per-port queue limit.
-func (n *NIC) PortDrops(port uint16) uint64 {
-	if q := n.ports[port]; q != nil {
-		return q.drops
-	}
-	return 0
-}
+func (n *NIC) PortDrops(port uint16) uint64 { return n.rx(port).drops }
 
 // Stats returns cumulative byte counters.
 func (n *NIC) Stats() (sent, received, dropped uint64) {
